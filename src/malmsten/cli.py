@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .closedform import MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
 from .proofchain import (
@@ -32,6 +32,7 @@ from .proofchain import (
     vardi_b_integrand,
 )
 from .quad import QuadratureError, ToleranceSpec, integrate_semi_infinite
+from .specfun import _checked_real
 
 __all__ = ["OutputRecord", "render_json", "render_csv", "parse_json", "parse_csv", "main"]
 
@@ -125,9 +126,7 @@ _CSV_COLUMNS = {
 
 def render_csv(record: OutputRecord) -> str:
     header = _CSV_COLUMNS[record.command]
-    if record.command == "eval":
-        rows = [dict(record.parameters, **record.results)]
-    elif record.command == "quad":
+    if record.command in ("eval", "quad"):
         rows = [dict(record.parameters, **record.results)]
     elif record.command == "verify":
         rows = record.results["steps"]
@@ -154,11 +153,17 @@ def _render(record: OutputRecord, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
+def _as_usage(fn, *args):
+    """fn(*args), with a ValueError from checking user input re-raised as
+    a usage error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _checked_param(value, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise _UsageError(f"--{name} must be a finite real, got {value!r}")
-    return value
+    return _as_usage(_checked_real, value, "--" + name)
 
 
 def _which_params(args) -> dict:
@@ -183,13 +188,6 @@ def _which_params(args) -> dict:
     return params
 
 
-def _make_malmsten_params(params: dict) -> MalmstenParams:
-    try:
-        return MalmstenParams(params["a"], params["b"])
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
 def _cmd_eval(args) -> int:
     start = time.perf_counter()
     params = _which_params(args)
@@ -198,7 +196,7 @@ def _cmd_eval(args) -> int:
     elif args.which == "b":
         value = vardi_b_constant()
     else:
-        value = malmsten_c(_make_malmsten_params(params))
+        value = malmsten_c(_as_usage(MalmstenParams, params["a"], params["b"]))
     record = OutputRecord("eval", params, {"value": value},
                           (time.perf_counter() - start) * 1000.0)
     sys.stdout.write(_render(record, args.format))
@@ -208,17 +206,14 @@ def _cmd_eval(args) -> int:
 def _cmd_quad(args) -> int:
     start = time.perf_counter()
     params = _which_params(args)
-    try:
-        tol = ToleranceSpec(rel_tol=_checked_param(args.rel_tol, "rel-tol"))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    tol = _as_usage(ToleranceSpec, _checked_param(args.rel_tol, "rel-tol"))
     params["rel_tol"] = tol.rel_tol
     if args.which == "a":
         integrand = delta_integrand(params["a"])
     elif args.which == "b":
         integrand = vardi_b_integrand()
     else:
-        integrand = malmsten_c_integrand(_make_malmsten_params(params))
+        integrand = malmsten_c_integrand(_as_usage(MalmstenParams, params["a"], params["b"]))
     res = integrate_semi_infinite(integrand, tol)
     if not math.isfinite(res.value):
         print(f"error: quadrature diverged (value {res.value!r})", file=sys.stderr)
@@ -241,38 +236,21 @@ def _parse_grid(text: str):
     entries = [s.strip() for s in text.split(",")]
     if any(not s for s in entries):
         raise _UsageError(f"--grid must be a comma-separated list of reals, got {text!r}")
-    try:
-        return [_checked_param(s, "grid") for s in entries]
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return [_checked_param(s, "grid") for s in entries]
 
 
 def _step_dict(step) -> dict:
-    return {
-        "name": step.name,
-        "params": step.params,
-        "lhs": step.lhs,
-        "rhs": step.rhs,
-        "abs_err": step.abs_err,
-        "rel_err": step.rel_err,
-        "tol": step.tol,
-        "pass": step.passed,
-        "evaluations": step.evaluations,
-        "note": step.note,
-    }
+    # IdentityReport's fields in order, with "passed" keyed as "pass".
+    return {("pass" if k == "passed" else k): v for k, v in asdict(step).items()}
 
 
 def _cmd_verify(args) -> int:
     start = time.perf_counter()
     grid = _parse_grid(args.grid)
-    try:
-        report = run_full_chain(grid, _checked_param(args.tol, "tol"))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    report = _as_usage(run_full_chain, grid, _checked_param(args.tol, "tol"))
     results = {
         "steps": [_step_dict(s) for s in report.steps],
-        "skipped": [{"name": s.name, "params": s.params, "reason": s.reason}
-                    for s in report.skipped],
+        "skipped": [asdict(s) for s in report.skipped],
         "overall_pass": report.overall_pass,
         "total_evaluations": report.total_evaluations,
     }
@@ -295,6 +273,8 @@ def _cmd_table(args) -> int:
     if not a_min < a_max:
         raise _UsageError(f"--a-min must be strictly below --a-max, got {a_min} and {a_max}")
     span = a_max - a_min
+    if not math.isfinite(span):
+        raise _UsageError(f"the span from --a-min to --a-max overflows, got {a_min} and {a_max}")
     rows = []
     for i in range(steps):
         a = a_min + span * (i / (steps - 1))

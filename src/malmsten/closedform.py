@@ -16,7 +16,7 @@ ulp.
 import math
 from dataclasses import dataclass
 
-from .specfun import digamma, gamma_ratio_log, ln_gamma
+from .specfun import _checked_real, digamma, gamma_ratio_log, ln_gamma
 
 __all__ = [
     "MalmstenParams",
@@ -36,13 +36,6 @@ _HALF_LN_2 = 0.5 * _LN_2
 _ASYMPTOTIC_CUTOVER = 1e8
 
 
-def _checked_finite(x, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be a finite real, got {x!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class MalmstenParams:
     """Scale pair for integrals of ln(a x) sech(b x) over (0, inf).
@@ -56,11 +49,7 @@ class MalmstenParams:
 
     def __post_init__(self):
         for name in ("a", "b"):
-            v = getattr(self, name)
-            v = float(v)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be a positive finite real, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _checked_real(getattr(self, name), name, True))
 
 
 def delta_closed(a: float) -> float:
@@ -70,7 +59,7 @@ def delta_closed(a: float) -> float:
     sign is dropped before any arithmetic).  delta_closed(0.5) equals
     ln(2/pi) exactly in the limit of exact gamma values.
     """
-    s = 0.5 * abs(_checked_finite(a, "a"))
+    s = 0.5 * abs(_checked_real(a, "a"))
     if s >= _ASYMPTOTIC_CUTOVER:
         aa = 2.0 * s
         return math.log(aa) + 0.125 / (aa * aa)
@@ -104,7 +93,7 @@ def delta_derivative(a: float) -> float:
 
     Positive and strictly decreasing; equals 2 ln 2 at a = 1/2.
     """
-    a = _checked_finite(a, "a")
+    a = _checked_real(a, "a")
     if a <= 0.0:
         raise ValueError(f"a must be positive, got {a!r}")
     s = 0.5 * a

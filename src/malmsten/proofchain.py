@@ -10,15 +10,21 @@ in derivation order, and aggregates the reports.
 A failed quadrature never raises out of a check: the report comes back
 with passed=False and a diagnostic note.  Grid entries that violate a
 check's precondition are skipped and recorded as such.
+
+run_full_chain looks each check up by its module-level name at call
+time, never through a reference captured at import, so replacing
+proofchain.check_<step> (a test's rigged check, a benchmark's timing
+wrapper) changes what the chain runs.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .closedform import MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
 from .quad import integrate_finite, integrate_semi_infinite
-from .specfun import digamma, gamma_ratio_log, sech
+from .specfun import _checked_real, digamma, gamma_ratio_log, sech
 
 __all__ = [
     "DEFAULT_TOL",
@@ -94,13 +100,6 @@ def _checked_tol(tol) -> float:
     if not math.isfinite(tol) or tol < _TOL_FLOOR:
         raise ValueError(f"tol must be a finite real >= {_TOL_FLOOR}, got {tol!r}")
     return tol
-
-
-def _checked_finite(x, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be a finite real, got {x!r}")
-    return x
 
 
 def _build_report(name: str, params: dict, lhs: float, rhs: float, tol: float,
@@ -218,7 +217,7 @@ def check_delta_quadrature(a: float, tol: float = DEFAULT_TOL) -> IdentityReport
     Valid for every finite a including 0, where the integrand carries a
     logarithmic singularity at the origin.
     """
-    a = _checked_finite(a, "a")
+    a = _checked_real(a, "a")
     tol = _checked_tol(tol)
     res = integrate_semi_infinite(delta_integrand(a))
     return _build_report("delta_quadrature", {"a": a}, res.value, delta_closed(a),
@@ -229,11 +228,15 @@ def check_arctan_kernel(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     """delta_closed(a) - ln|a| against (4/pi) int_0^inf
     x arctan(e^{-pi x}) / (x^2 + a^2) dx, the integrated-by-parts form.
 
-    Requires a != 0 (the ln|a| split is singular there).
+    Requires a != 0 (the ln|a| split is singular there) and a*a at least
+    the smallest normal float, below which the kernel's denominator
+    x^2 + a^2 loses precision and finally underflows to 0.
     """
-    a = _checked_finite(a, "a")
+    a = _checked_real(a, "a")
     if a == 0.0:
         raise ValueError("a must be nonzero")
+    if a * a < sys.float_info.min:
+        raise ValueError(f"a*a must not underflow the normal float range, got a = {a!r}")
     tol = _checked_tol(tol)
     res = integrate_semi_infinite(_arctan_kernel_integrand(a))
     lhs = delta_closed(a) - math.log(abs(a))
@@ -247,7 +250,7 @@ def check_sech_cosine_transform(t: float, tol: float = DEFAULT_TOL) -> IdentityR
 
     At t = 0 both sides reduce to 1/2.
     """
-    t = _checked_finite(t, "t")
+    t = _checked_real(t, "t")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
     tol = _checked_tol(tol)
@@ -265,7 +268,7 @@ def check_t_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     Requires |a| > SMALL_A_CUTOFF; below that the integrand decays too
     slowly for the quadrature to be trusted.
     """
-    a = _checked_finite(a, "a")
+    a = _checked_real(a, "a")
     if abs(a) <= SMALL_A_CUTOFF:
         raise ValueError(f"|a| must exceed {SMALL_A_CUTOFF}, got {a!r}")
     tol = _checked_tol(tol)
@@ -283,7 +286,7 @@ def check_z_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     a > SMALL_A_CUTOFF: at smaller a the z^{2a-1} factor is barely
     integrable and the quadrature unreliable.
     """
-    a = _checked_finite(a, "a")
+    a = _checked_real(a, "a")
     if a <= SMALL_A_CUTOFF:
         raise ValueError(f"a must exceed {SMALL_A_CUTOFF}, got {a!r}")
     tol = _checked_tol(tol)
@@ -339,7 +342,7 @@ def check_alt_series_digamma(mu: float, tol: float = DEFAULT_TOL) -> IdentityRep
     a tail completion whose error bound must fall below tol/10; failing
     to get there within 10^7 terms reports passed=False.
     """
-    mu = _checked_finite(mu, "mu")
+    mu = _checked_real(mu, "mu")
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu!r}")
     tol = _checked_tol(tol)
@@ -359,7 +362,7 @@ def check_p_integral(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     against the same bracket of log-gamma values at p = 1 minus p = 0,
     assembled from gamma_ratio_log.  Requires a > 0.
     """
-    a = _checked_finite(a, "a")
+    a = _checked_real(a, "a")
     if a <= 0.0:
         raise ValueError(f"a must be positive, got {a!r}")
     tol = _checked_tol(tol)
@@ -393,29 +396,18 @@ def check_b_reduction(tol: float = DEFAULT_TOL) -> IdentityReport:
     r2 = integrate_semi_infinite(sech)
     target = vardi_b_constant()
     assembled = math.pi * (0.5 * delta_closed(0.0)) + 0.5 * math.pi * _LN_PI
-    subs = (
-        ("log_sech_quadrature", r1.value, target),
-        ("sech_normalization", r2.value, 0.5 * math.pi),
-        ("constant_assembly", assembled, target),
-    )
-    worst = None
-    worst_margin = -1.0
-    notes = []
-    for name, lhs, rhs in subs:
-        abs_err = abs(lhs - rhs)
-        denom = max(abs(lhs), abs(rhs))
-        rel_err = abs_err / denom if denom > 0.0 else 0.0
-        margin = min(abs_err, rel_err) / tol
-        notes.append(f"{name} abs_err={abs_err:.3e}")
-        if margin > worst_margin:
-            worst_margin = margin
-            worst = (name, lhs, rhs)
+    subs = [
+        _build_report("log_sech_quadrature", {}, r1.value, target, tol),
+        _build_report("sech_normalization", {}, r2.value, 0.5 * math.pi, tol),
+        _build_report("constant_assembly", {}, assembled, target, tol),
+    ]
+    worst = max(subs, key=lambda r: min(r.abs_err, r.rel_err))
     converged = r1.converged and r2.converged
-    name, lhs, rhs = worst
-    note = "worst sub-identity: " + name + "; " + "; ".join(notes)
+    note = "worst sub-identity: " + worst.name + "; " + "; ".join(
+        f"{r.name} abs_err={r.abs_err:.3e}" for r in subs)
     if not converged:
         note += "; quadrature did not converge"
-    return _build_report("b_reduction", {}, lhs, rhs, tol,
+    return _build_report("b_reduction", {}, worst.lhs, worst.rhs, tol,
                          r1.evaluations + r2.evaluations, converged, note)
 
 
@@ -432,6 +424,19 @@ def check_c_quadrature(params: MalmstenParams,
 # ---------------------------------------------------------------------------
 # Full chain orchestration.
 
+# The per-grid-point steps in derivation order: (step name, name of the
+# check's argument, that argument as a function of the grid value a).
+_GRID_STEPS = (
+    ("delta_quadrature", "a", lambda a: a),
+    ("arctan_kernel", "a", lambda a: a),
+    ("sech_cosine_transform", "t", abs),
+    ("t_domain", "a", lambda a: a),
+    ("z_domain", "a", lambda a: a),
+    ("alt_series_digamma", "mu", abs),
+    ("p_integral", "a", lambda a: a),
+)
+
+
 def run_full_chain(a_grid: Sequence[float], tol: float = DEFAULT_TOL) -> ChainReport:
     """Run every applicable check over a_grid, in derivation order.
 
@@ -445,30 +450,20 @@ def run_full_chain(a_grid: Sequence[float], tol: float = DEFAULT_TOL) -> ChainRe
     The grid must be non-empty with finite entries.  Report order is
     deterministic in (grid position, step) for identical inputs.
     """
-    grid = [_checked_finite(v, "grid entry") for v in a_grid]
+    grid = [_checked_real(v, "grid entry") for v in a_grid]
     if not grid:
         raise ValueError("a_grid must contain at least one value")
     tol = _checked_tol(tol)
 
     steps = []
     skipped = []
-
-    def attempt(fn, name: str, params: dict, *args):
-        try:
-            steps.append(fn(*args, tol))
-        except ValueError as exc:
-            skipped.append(SkippedStep(name, params, str(exc)))
-
     for a in grid:
-        attempt(check_delta_quadrature, "delta_quadrature", {"a": a}, a)
-        attempt(check_arctan_kernel, "arctan_kernel", {"a": a}, a)
-        attempt(check_sech_cosine_transform, "sech_cosine_transform",
-                {"t": abs(a)}, abs(a))
-        attempt(check_t_domain, "t_domain", {"a": a}, a)
-        attempt(check_z_domain, "z_domain", {"a": a}, a)
-        attempt(check_alt_series_digamma, "alt_series_digamma",
-                {"mu": abs(a)}, abs(a))
-        attempt(check_p_integral, "p_integral", {"a": a}, a)
+        for name, arg_name, arg_of in _GRID_STEPS:
+            arg = arg_of(a)
+            try:
+                steps.append(globals()["check_" + name](arg, tol))
+            except ValueError as exc:
+                skipped.append(SkippedStep(name, {arg_name: arg}, str(exc)))
 
     steps.append(check_b_reduction(tol))
 

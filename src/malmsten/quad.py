@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .specfun import _checked_real
+
 __all__ = [
     "ToleranceSpec",
     "QuadratureResult",
@@ -57,12 +59,10 @@ class ToleranceSpec:
     max_level: int = 12
 
     def __post_init__(self):
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise ValueError(f"rel_tol must be a positive finite real, got {self.rel_tol!r}")
+        object.__setattr__(self, "rel_tol", _checked_real(self.rel_tol, "rel_tol", True))
         if self.rel_tol < _REL_TOL_FLOOR:
             raise ValueError(f"rel_tol {self.rel_tol!r} is below the honesty floor {_REL_TOL_FLOOR}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise ValueError(f"abs_tol must be a positive finite real, got {self.abs_tol!r}")
+        object.__setattr__(self, "abs_tol", _checked_real(self.abs_tol, "abs_tol", True))
         if int(self.max_level) != self.max_level or self.max_level < 1:
             raise ValueError(f"max_level must be an integer >= 1, got {self.max_level!r}")
 

@@ -55,10 +55,14 @@ _DIGAMMA_COEFFS = (
 _HALF_LN_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _checked_positive(x) -> float:
+def _checked_real(x, name: str, positive: bool = False) -> float:
+    """float(x), or a ValueError naming it unless it is finite (and > 0
+    when positive is set).  The package's one input validator; ln_gamma
+    and digamma call it on every evaluation."""
     x = float(x)
-    if math.isnan(x) or math.isinf(x) or x <= 0.0:
-        raise ValueError(f"argument must be a positive finite real, got {x!r}")
+    if not math.isfinite(x) or (positive and x <= 0.0):
+        kind = "a positive finite real" if positive else "a finite real"
+        raise ValueError(f"{name} must be {kind}, got {x!r}")
     return x
 
 
@@ -70,7 +74,7 @@ def ln_gamma(x: float) -> float:
     over [1e-3, 1e6] except within roundoff of the zeros at x = 1 and
     x = 2, where only absolute accuracy (a few ulp) is meaningful.
     """
-    x = _checked_positive(x)
+    x = _checked_real(x, "argument", True)
     shift = 0.0
     while x < _SHIFT_THRESHOLD:
         shift += math.log(x)
@@ -91,7 +95,7 @@ def digamma(x: float) -> float:
     accuracy is a few 1e-16 times the magnitude of the result, which is
     well below 1e-12 over [1e-3, 1e6].
     """
-    x = _checked_positive(x)
+    x = _checked_real(x, "argument", True)
     shift = 0.0
     while x < _SHIFT_THRESHOLD:
         shift += 1.0 / x

@@ -159,6 +159,14 @@ def test_verify_records_skips(capsys):
         assert s["reason"]
 
 
+def test_verify_tiny_a_is_not_a_usage_error(capsys):
+    # a*a underflows to 0 here; the chain must report, not divide by zero.
+    code, out, err = run_cli(capsys, "verify", "--grid", "1e-300")
+    assert code != 2
+    assert "division" not in err
+    assert json.loads(out)["results"]["skipped"]
+
+
 def test_table_csv(capsys):
     code, out, _ = run_cli(capsys, "table", "--a-min", "0.0", "--a-max", "2.0", "--steps", "5")
     assert code == 0
@@ -193,10 +201,12 @@ def test_table_usage_errors(capsys):
         ["table", "--a-min", "0.0", "--a-max", "1.0", "--steps", "0"],
         ["table", "--a-min", "nan", "--a-max", "1.0", "--steps", "5"],
         ["table", "--a-min", "0.0", "--a-max", "inf", "--steps", "5"],
+        ["table", "--a-min=-1e308", "--a-max=1e308", "--steps", "3"],  # span overflows
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
+    assert "--a-min" in err and "--a-max" in err  # the overflow names both flags
 
 
 def test_json_round_trip(capsys):

@@ -1,0 +1,118 @@
+"""Golden-file test for the command line interface.
+
+Each case below runs main(argv) in-process and compares its exit code,
+its stdout (with the timing_ms value masked) and its stderr byte for
+byte against tests/data/cli_golden.txt, one JSON object per line.  The
+file pins the exact output of every subcommand in both formats and of
+the usage errors, so a refactor of the layers below the CLI cannot
+change what a user sees without this test failing.
+
+After an intended output change, regenerate the file with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import os
+import re
+from pathlib import Path
+
+import pytest
+
+from malmsten.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
+
+CASES = [
+    # eval and quad: every selector in both formats
+    ["eval", "--which", "a", "--a", "0.5"],
+    ["eval", "--which", "a", "--a", "-3.25", "--format", "csv"],
+    ["eval", "--which", "b"],
+    ["eval", "--which", "b", "--format", "csv"],
+    ["eval", "--which", "c", "--a", "2", "--b", "3"],
+    ["eval", "--which", "c", "--a", "0.1", "--b", "0.5", "--format", "csv"],
+    ["quad", "--which", "a", "--a", "0"],
+    ["quad", "--which", "a", "--a", "1.5", "--format", "csv"],
+    ["quad", "--which", "b", "--rel-tol", "1e-10"],
+    ["quad", "--which", "b", "--format", "csv"],
+    ["quad", "--which", "c", "--a", "2", "--b", "3"],
+    ["quad", "--which", "c", "--a", "0.1", "--b", "0.5", "--format", "csv"],
+    # verify: a passing grid with skips, and a failing one (exit 1)
+    ["verify", "--grid", "0,-1,0.5"],
+    ["verify", "--grid", "0,-1,0.5", "--format", "csv"],
+    ["verify", "--grid", "0.005", "--tol", "1e-6"],
+    ["verify", "--grid", "0.005", "--format", "csv"],
+    # table
+    ["table", "--a-min=-1", "--a-max", "1", "--steps", "3", "--format", "json"],
+    ["table", "--a-min", "0", "--a-max", "2", "--steps", "4"],
+    # usage errors: bad flags and flag combinations
+    ["eval"],
+    ["eval", "--which", "z", "--a", "1"],
+    ["eval", "--which", "a"],
+    ["eval", "--which", "b", "--a", "1"],
+    ["eval", "--which", "c", "--a", "1"],
+    ["eval", "--which", "c", "--a", "0", "--b", "1"],
+    ["eval", "--which", "a", "--a", "x"],
+    ["quad", "--which", "c", "--a", "-2", "--b", "1"],
+    ["verify", "--grid", ""],
+    ["verify", "--grid", "abc"],
+    ["verify", "--grid", "1.0,,2.0"],
+    ["table", "--a-min", "1", "--a-max", "0", "--steps", "5"],
+    ["table", "--a-min", "0", "--a-max", "1", "--steps", "1"],
+    # usage errors: non-finite values
+    ["eval", "--which", "a", "--a", "nan"],
+    ["eval", "--which", "c", "--a", "1", "--b", "inf"],
+    ["quad", "--which", "a", "--a=-inf"],
+    ["quad", "--which", "b", "--rel-tol", "nan"],
+    ["verify", "--grid", "1,nan"],
+    ["verify", "--grid", "1", "--tol", "inf"],
+    ["table", "--a-min", "nan", "--a-max", "1", "--steps", "3"],
+    ["table", "--a-min", "0", "--a-max", "inf", "--steps", "3"],
+    # usage errors: tolerances below the floor
+    ["quad", "--which", "b", "--rel-tol", "1e-15"],
+    ["quad", "--which", "b", "--rel-tol", "-1"],
+    ["verify", "--grid", "1", "--tol", "1e-15"],
+    ["verify", "--grid", "1", "--tol", "0"],
+    # usage errors: no or unknown command
+    [],
+    ["frobnicate"],
+]
+
+_TIMING = re.compile(r'"timing_ms":[^,}]+')
+
+
+def run_case(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    stdout = _TIMING.sub('"timing_ms":"*"', out.getvalue())
+    return {"argv": argv, "exit": code, "stdout": stdout, "stderr": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with GOLDEN.open(encoding="utf-8") as fh:
+        return {tuple(g["argv"]): g for g in map(json.loads, fh)}
+
+
+@pytest.fixture(autouse=True)
+def _fixed_terminal_width(monkeypatch):
+    # argparse wraps its usage text to the terminal width.
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+@pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "<none>")
+def test_cli_output_matches_golden(golden, argv):
+    assert run_case(argv) == golden[tuple(argv)]
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    GOLDEN.parent.mkdir(exist_ok=True)
+    with GOLDEN.open("w", encoding="utf-8") as fh:
+        for argv in CASES:
+            fh.write(json.dumps(run_case(argv)) + "\n")

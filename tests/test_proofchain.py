@@ -6,6 +6,7 @@ small, the pass flag matches the recorded numbers, preconditions skip
 cleanly, and the intermediate routes all agree with each other.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -149,6 +150,27 @@ def test_b_reduction():
         assert key in rep.note
 
 
+def test_b_reduction_reports_the_failing_sub_identity(monkeypatch):
+    import malmsten.proofchain as pc
+    from malmsten.specfun import sech
+
+    real = pc.integrate_semi_infinite
+
+    def skewed(f, *args):
+        res = real(f, *args)
+        if f is sech:  # break the normalization int_0^inf sech = pi/2
+            res = dataclasses.replace(res, value=res.value + 1e-3)
+        return res
+
+    monkeypatch.setattr(pc, "integrate_semi_infinite", skewed)
+    rep = pc.check_b_reduction()
+    assert not rep.passed
+    assert rep.lhs == real(sech).value + 1e-3
+    assert rep.rhs == 0.5 * math.pi
+    assert rep.note.startswith("worst sub-identity: sech_normalization;")
+    _assert_report_consistent(rep)
+
+
 def test_c_quadrature():
     rep = check_c_quadrature(MalmstenParams(1.0, 1.0))
     assert rep.passed
@@ -228,34 +250,62 @@ def test_full_chain_single_point():
 
 def test_full_chain_records_skips():
     # a = 0 cannot feed the checks that divide by a or integrate over
-    # (0, 1) in powers of a; a = -1 cannot feed the positive-only routes.
-    report = run_full_chain([0.0, -1.0])
+    # (0, 1) in powers of a; a = -1 cannot feed the positive-only routes;
+    # below |a| ~ 1.5e-154 the arctan kernel's a^2 is no longer a normal
+    # float, and below ~1e-162 its denominator would underflow to 0.
+    import malmsten.proofchain as pc
+
+    report = run_full_chain([0.0, -1.0, 1e-160, -1e-200])
     assert report.overall_pass
     skipped_for_zero = [s for s in report.skipped if s.params.get("a") == 0.0]
     assert {s.name for s in skipped_for_zero} >= {"arctan_kernel", "t_domain", "z_domain", "p_integral"}
+    assert any(s.name == "alt_series_digamma" and s.params == {"mu": 0.0}
+               for s in report.skipped)
     skipped_for_neg = [s for s in report.skipped if s.params.get("a") == -1.0]
     assert {s.name for s in skipped_for_neg} == {"z_domain", "p_integral"}
+    skipped_for_tiny = [s for s in report.skipped if s.params.get("a") == 1e-160]
+    assert {s.name for s in skipped_for_tiny} == {"arctan_kernel", "t_domain", "z_domain"}
     for s in report.skipped:
         assert s.reason
+        if s.name == "c_quadrature":  # skipped by the chain, never called
+            continue
+        with pytest.raises(ValueError) as exc:
+            getattr(pc, "check_" + s.name)(*s.params.values())
+        assert str(exc.value) == s.reason
+
+    # Where a^2 underflows to 0 the chain still reports instead of
+    # raising; the steps whose quadrature cannot resolve the scale fail
+    # as non-converged.
+    report = run_full_chain([1e-300])
+    assert "arctan_kernel" in {s.name for s in report.skipped}
+    failed = [s for s in report.steps if not s.passed]
+    assert {s.name for s in failed} == {"p_integral", "c_quadrature"}
+    assert all("converge" in s.note for s in failed)
 
 
-def test_full_chain_overall_pass_is_conjunction(monkeypatch):
+@pytest.mark.parametrize("step", [
+    "delta_quadrature", "arctan_kernel", "sech_cosine_transform", "t_domain",
+    "z_domain", "alt_series_digamma", "p_integral", "b_reduction", "c_quadrature",
+])
+def test_full_chain_overall_pass_is_conjunction(monkeypatch, step):
+    # Replacing the module-level check must reach the chain, so the chain
+    # may not hold references to the checks taken at import time.
     import malmsten.proofchain as pc
 
-    real = pc.check_delta_quadrature
+    real = getattr(pc, "check_" + step)
 
-    def rigged(a, tol=DEFAULT_TOL):
-        rep = real(a, tol)
+    def rigged(*args):
+        rep = real(*args)
         return IdentityReport(
             name=rep.name, params=rep.params, lhs=rep.lhs, rhs=rep.rhs + 1.0,
             abs_err=1.0, rel_err=1.0, tol=rep.tol, passed=False,
             evaluations=rep.evaluations, note="rigged",
         )
 
-    monkeypatch.setattr(pc, "check_delta_quadrature", rigged)
+    monkeypatch.setattr(pc, "check_" + step, rigged)
     report = pc.run_full_chain([1.0])
     assert not report.overall_pass
-    assert any(not s.passed for s in report.steps)
+    assert [s.name for s in report.steps if not s.passed] == [step]
 
 
 def test_full_chain_validation():
