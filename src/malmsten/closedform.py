@@ -30,9 +30,11 @@ _LN_2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 _HALF_LN_2 = 0.5 * _LN_2
 
-# Beyond this the Stirling-difference form below is correctly rounded
-# anyway, and evaluating it directly would overflow ln_gamma long before
-# the float range ends, so switch to the asymptotic value ln|a| + 1/(8a^2).
+# For s = |a|/2 beyond this, use the asymptotic value ln|a| + 1/(8a^2):
+# evaluating the Stirling difference directly would overflow ln_gamma long
+# before the float range ends.  Below the cutover that difference is not
+# correctly rounded: two terms of size about s*ln(s) cancel, and its
+# relative error reaches about 1e-9 at a = 1e7 and 1e-8 at a = 1.1e8.
 _ASYMPTOTIC_CUTOVER = 1e8
 
 

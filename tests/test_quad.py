@@ -198,3 +198,35 @@ def test_bounds_validation():
         integrate_finite(math.cos, 0.0, float("inf"))
     with pytest.raises(ValueError):
         integrate_finite(math.cos, float("nan"), 1.0)
+
+
+def test_midpoint_rounding_onto_an_endpoint_is_skipped():
+    # mid = lo + halfspan rounds onto lo; f must still never see lo.
+    lo, hi = 1.0, 1.0 + 2.0 ** -52
+    res = integrate_finite(lambda z: math.log(z - 1.0), lo, hi)
+    assert res.evaluations == 0
+    assert not res.converged
+    assert res.error_estimate == math.inf
+
+
+def test_no_evaluation_never_claims_convergence():
+    # halfspan underflows to 0: no node carries weight above the floor.
+    res = integrate_finite(lambda z: 1.0 / z, 0.0, 5e-324)
+    assert res.evaluations == 0
+    assert not res.converged
+    assert res.error_estimate == math.inf
+
+
+def test_overflowing_span_stays_inside_the_interval():
+    seen = []
+
+    def f(z):
+        seen.append(z)
+        return 1.0 / (1.0 + z * z)
+
+    lo, hi = -1e308, 1e308
+    res = integrate_finite(f, lo, hi)
+    assert seen and res.evaluations == len(seen)
+    assert all(math.isfinite(z) and lo < z < hi for z in seen)
+    assert not res.converged
+    assert math.isfinite(res.value) and math.isfinite(res.error_estimate)
