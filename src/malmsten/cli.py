@@ -7,6 +7,8 @@ uniform grid).
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 quadrature non-convergence.
+Each handler only checks its arguments and computes; main is the one
+place that times it, writes the record and chooses the exit code.
 Outputs are deterministic apart from the timing_ms field: JSON objects
 keep a fixed key order and every float is serialized with 17
 significant digits, which round-trips losslessly through a parser.
@@ -97,13 +99,10 @@ def parse_json(text: str) -> OutputRecord:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _format_float(v)
-    if isinstance(v, dict):
-        return _json_value(v)
-    return "" if v is None else str(v)
+    # Text as is, a missing column empty, every other value as in JSON.
+    if isinstance(v, str):
+        return v
+    return "" if v is None else _json_value(v)
 
 
 def _csv_table(header, rows) -> str:
@@ -144,12 +143,6 @@ def parse_csv(text: str):
     return [dict(zip(header, row)) for row in it]
 
 
-def _render(record: OutputRecord, fmt: str) -> str:
-    if fmt == "csv":
-        return render_csv(record)
-    return render_json(record) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
@@ -188,8 +181,7 @@ def _which_params(args) -> dict:
     return params
 
 
-def _cmd_eval(args) -> int:
-    start = time.perf_counter()
+def _cmd_eval(args):
     params = _which_params(args)
     if args.which == "a":
         value = delta_closed(params["a"])
@@ -197,14 +189,10 @@ def _cmd_eval(args) -> int:
         value = vardi_b_constant()
     else:
         value = malmsten_c(_as_usage(MalmstenParams, params["a"], params["b"]))
-    record = OutputRecord("eval", params, {"value": value},
-                          (time.perf_counter() - start) * 1000.0)
-    sys.stdout.write(_render(record, args.format))
-    return 0
+    return params, {"value": value}
 
 
-def _cmd_quad(args) -> int:
-    start = time.perf_counter()
+def _cmd_quad(args):
     params = _which_params(args)
     tol = _as_usage(ToleranceSpec, _checked_param(args.rel_tol, "rel-tol"))
     params["rel_tol"] = tol.rel_tol
@@ -216,20 +204,8 @@ def _cmd_quad(args) -> int:
         integrand = malmsten_c_integrand(_as_usage(MalmstenParams, params["a"], params["b"]))
     res = integrate_semi_infinite(integrand, tol)
     if not math.isfinite(res.value):
-        print(f"error: quadrature diverged (value {res.value!r})", file=sys.stderr)
-        return 3
-    record = OutputRecord("quad", params, {
-        "value": res.value,
-        "error_estimate": res.error_estimate,
-        "evaluations": res.evaluations,
-        "converged": res.converged,
-    }, (time.perf_counter() - start) * 1000.0)
-    sys.stdout.write(_render(record, args.format))
-    if not res.converged:
-        print("error: quadrature did not converge within the level budget",
-              file=sys.stderr)
-        return 3
-    return 0
+        raise QuadratureError(f"quadrature diverged (value {res.value!r})")
+    return params, asdict(res)  # QuadratureResult's fields in order
 
 
 def _parse_grid(text: str):
@@ -244,27 +220,18 @@ def _step_dict(step) -> dict:
     return {("pass" if k == "passed" else k): v for k, v in asdict(step).items()}
 
 
-def _cmd_verify(args) -> int:
-    start = time.perf_counter()
+def _cmd_verify(args):
     grid = _parse_grid(args.grid)
     report = _as_usage(run_full_chain, grid, _checked_param(args.tol, "tol"))
-    results = {
+    return {"grid": grid, "tol": float(args.tol)}, {
         "steps": [_step_dict(s) for s in report.steps],
         "skipped": [asdict(s) for s in report.skipped],
         "overall_pass": report.overall_pass,
         "total_evaluations": report.total_evaluations,
     }
-    record = OutputRecord("verify", {"grid": grid, "tol": float(args.tol)},
-                          results, (time.perf_counter() - start) * 1000.0)
-    sys.stdout.write(_render(record, args.format))
-    if not report.overall_pass:
-        print("error: identity chain verification failed", file=sys.stderr)
-        return 1
-    return 0
 
 
-def _cmd_table(args) -> int:
-    start = time.perf_counter()
+def _cmd_table(args):
     a_min = _checked_param(args.a_min, "a-min")
     a_max = _checked_param(args.a_max, "a-max")
     steps = args.steps
@@ -287,12 +254,7 @@ def _cmd_table(args) -> int:
             "abs_err": abs(res.value - closed),
             "converged": res.converged,
         })
-    record = OutputRecord("table",
-                          {"a_min": a_min, "a_max": a_max, "steps": steps},
-                          {"rows": rows},
-                          (time.perf_counter() - start) * 1000.0)
-    sys.stdout.write(_render(record, args.format))
-    return 0
+    return {"a_min": a_min, "a_max": a_max, "steps": steps}, {"rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +305,13 @@ _HANDLERS = {
     "table": _cmd_table,
 }
 
+# Outcomes whose record is still written but whose command failed: the
+# result field that must be true, the exit code and the message.
+_FAILURES = {
+    "quad": ("converged", 3, "quadrature did not converge within the level budget"),
+    "verify": ("overall_pass", 1, "identity chain verification failed"),
+}
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -353,7 +322,12 @@ def main(argv=None) -> int:
         # anything else to a usage failure.
         return exc.code if exc.code in (0, 2) else 2
     try:
-        return _HANDLERS[args.command](args)
+        start = time.perf_counter()
+        params, results = _HANDLERS[args.command](args)
+        record = OutputRecord(args.command, params, results,
+                              (time.perf_counter() - start) * 1000.0)
+        sys.stdout.write(render_csv(record) if args.format == "csv"
+                         else render_json(record) + "\n")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -363,6 +337,11 @@ def main(argv=None) -> int:
     except Exception as exc:  # backstop: diagnostics over tracebacks, always
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    failure = _FAILURES.get(args.command)
+    if failure and not results[failure[0]]:
+        print(f"error: {failure[2]}", file=sys.stderr)
+        return failure[1]
+    return 0
 
 
 if __name__ == "__main__":

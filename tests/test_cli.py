@@ -95,20 +95,36 @@ def test_quad_usage_errors(capsys):
         assert err != ""
 
 
-def test_quad_non_convergence_exits_3(capsys, monkeypatch):
+@pytest.mark.parametrize("value, converged", [(0.5, False), (math.inf, True)],
+                         ids=["not_converged", "diverged"])
+def test_quad_non_convergence_exits_3(capsys, monkeypatch, value, converged):
     import malmsten.cli as cli_mod
     from malmsten.quad import QuadratureResult
 
     def stub(f, tol=None):
-        return QuadratureResult(value=0.5, error_estimate=0.1, evaluations=99, converged=False)
+        return QuadratureResult(value=value, error_estimate=0.1, evaluations=99,
+                                converged=converged)
 
     monkeypatch.setattr(cli_mod, "integrate_semi_infinite", stub)
     code, out, err = run_cli(capsys, "quad", "--which", "b")
     assert code == 3
-    # The record is still printed so the caller can see how far it got.
-    doc = json.loads(out)
-    assert doc["results"]["converged"] is False
-    assert "converge" in err
+    if math.isfinite(value):
+        # The record is still printed so the caller can see how far it got.
+        doc = json.loads(out)
+        assert doc["results"]["converged"] is False
+        assert err == "error: quadrature did not converge within the level budget\n"
+    else:
+        assert out == ""
+        assert err == "error: quadrature diverged (value inf)\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unrenderable_value_writes_nothing(capsys, fmt):
+    # The closed form overflows to inf for b this small; a record that
+    # cannot be serialized must not leave a partial one on stdout.
+    code, out, err = run_cli(capsys, "eval", "--which", "c", "--a", "1", "--b", "1e-308",
+                             "--format", fmt)
+    assert (code, out, err) == (2, "", "error: non-finite value inf cannot be serialized\n")
 
 
 def test_verify_ok(capsys):
