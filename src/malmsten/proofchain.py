@@ -96,8 +96,13 @@ class ChainReport:
 
 
 def _checked_tol(tol) -> float:
-    tol = float(tol)
-    if not math.isfinite(tol) or tol < _TOL_FLOOR:
+    try:
+        tol = float(tol)
+    except (TypeError, ValueError, OverflowError):
+        bad = True
+    else:
+        bad = not math.isfinite(tol) or tol < _TOL_FLOOR
+    if bad:
         raise ValueError(f"tol must be a finite real >= {_TOL_FLOOR}, got {tol!r}")
     return tol
 

@@ -39,6 +39,7 @@ warm.
 """
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Callable
@@ -72,6 +73,7 @@ class ToleranceSpec:
 
     rel_tol below 1e-14 is rejected: successive-level agreement that
     tight cannot be distinguished from double-precision roundoff.
+    max_level, the deepest refinement level, is stored as an int.
     """
 
     rel_tol: float = 1e-12
@@ -83,8 +85,13 @@ class ToleranceSpec:
         if self.rel_tol < _REL_TOL_FLOOR:
             raise ValueError(f"rel_tol {self.rel_tol!r} is below the honesty floor {_REL_TOL_FLOOR}")
         object.__setattr__(self, "abs_tol", _checked_real(self.abs_tol, "abs_tol", True))
-        if int(self.max_level) != self.max_level or self.max_level < 1:
+        try:
+            level = operator.index(self.max_level)
+        except TypeError:
+            level = 0
+        if level < 1:
             raise ValueError(f"max_level must be an integer >= 1, got {self.max_level!r}")
+        object.__setattr__(self, "max_level", level)
 
 
 DEFAULT_TOLERANCE = ToleranceSpec()

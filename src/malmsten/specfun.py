@@ -57,10 +57,16 @@ _HALF_LN_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 def _checked_real(x, name: str, positive: bool = False) -> float:
     """float(x), or a ValueError naming it unless it is finite (and > 0
-    when positive is set).  The package's one input validator; ln_gamma
-    and digamma call it on every evaluation."""
-    x = float(x)
-    if not math.isfinite(x) or (positive and x <= 0.0):
+    when positive is set); a value float() rejects gets the same
+    ValueError.  The package's one input validator; ln_gamma and digamma
+    call it on every evaluation."""
+    try:
+        x = float(x)
+    except (TypeError, ValueError, OverflowError):
+        bad = True
+    else:
+        bad = not math.isfinite(x) or (positive and x <= 0.0)
+    if bad:
         kind = "a positive finite real" if positive else "a finite real"
         raise ValueError(f"{name} must be {kind}, got {x!r}")
     return x

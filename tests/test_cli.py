@@ -152,17 +152,19 @@ def test_verify_failure_exits_1(capsys):
 
 
 def test_verify_usage_errors(capsys):
-    for argv in (
-        ["verify", "--grid", ""],
-        ["verify", "--grid", "abc"],
-        ["verify", "--grid", "1.0,,2.0"],
-        ["verify", "--grid", "nan"],
-        ["verify", "--grid", "1.0", "--tol", "1e-15"],
-        ["verify", "--grid", "1.0", "--tol", "0"],
+    # The message names the flag (or, for the tolerance floor, tol).
+    for argv, name in (
+        (["verify", "--grid", ""], "--grid"),
+        (["verify", "--grid", "abc"], "--grid"),
+        (["verify", "--grid", "1.0,,2.0"], "--grid"),
+        (["verify", "--grid", "nan"], "--grid"),
+        (["verify", "--grid", "1.0", "--tol", "1e-15"], "tol"),
+        (["verify", "--grid", "1.0", "--tol", "0"], "tol"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
+        assert err.startswith(f"error: {name} must be "), err
 
 
 def test_verify_records_skips(capsys):

@@ -166,6 +166,13 @@ def test_domain_rejection():
     for a, b in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (float("nan"), 1.0), (1.0, float("inf"))):
         with pytest.raises(ValueError):
             MalmstenParams(a, b)
+    # Values float() rejects get the same message, not a TypeError.
+    with pytest.raises(ValueError, match=r"^a must be a positive finite real, got None$"):
+        MalmstenParams(None, 1.0)
+    with pytest.raises(ValueError, match=r"^b must be a positive finite real, got 'x'$"):
+        MalmstenParams(1.0, "x")
+    with pytest.raises(ValueError, match=r"^a must be a finite real, got None$"):
+        delta_closed(None)
 
 
 def test_params_coerce_to_float():

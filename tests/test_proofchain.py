@@ -317,3 +317,9 @@ def test_full_chain_validation():
         run_full_chain([1.0], tol=1e-15)
     with pytest.raises(ValueError):
         run_full_chain([1.0], tol=0.0)
+    # Values float() rejects get the same messages, not a TypeError.
+    for bad in (None, "abc"):
+        with pytest.raises(ValueError, match=r"^grid entry must be a finite real, got "):
+            run_full_chain([bad])
+        with pytest.raises(ValueError, match=r"^tol must be a finite real >= 1e-14, got "):
+            run_full_chain([1.0], tol=bad)

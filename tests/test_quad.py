@@ -182,8 +182,17 @@ def test_tolerance_spec_validation():
         ToleranceSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         ToleranceSpec(abs_tol=-1e-10)
-    with pytest.raises(ValueError):
-        ToleranceSpec(max_level=0)
+    for bad in (None, "x", 10**400):
+        with pytest.raises(ValueError, match="rel_tol must be a positive finite real"):
+            ToleranceSpec(rel_tol=bad)
+        with pytest.raises(ValueError, match="abs_tol must be a positive finite real"):
+            ToleranceSpec(abs_tol=bad)
+    # max_level takes integers only: 12.0 used to be accepted and then
+    # broke every integrate_* call with a TypeError.
+    for bad in (0, -3, 12.0, 1.5, float("inf"), float("nan"), None, "3"):
+        with pytest.raises(ValueError, match=r"max_level must be an integer >= 1, got "):
+            ToleranceSpec(max_level=bad)
+    assert type(ToleranceSpec(max_level=True).max_level) is int
     # The floor itself is allowed.
     assert ToleranceSpec(rel_tol=1e-14).rel_tol == 1e-14
     assert DEFAULT_TOLERANCE.rel_tol == 1e-12

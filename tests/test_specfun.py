@@ -145,6 +145,14 @@ def test_domain_rejection(bad):
         gamma_ratio_log(1.0, bad)
 
 
+@pytest.mark.parametrize("bad", [None, "abc", 1j, 10**400], ids=["None", "str", "complex", "huge_int"])
+def test_non_numeric_input_is_a_value_error(bad):
+    # What float() itself rejects gets the package's message, not float()'s.
+    for fn in (ln_gamma, digamma):
+        with pytest.raises(ValueError, match=r"^argument must be a positive finite real, got "):
+            fn(bad)
+
+
 def test_sech_basics():
     assert sech(0.0) == 1.0
     assert math.isclose(sech(1.0), 1.0 / math.cosh(1.0), rel_tol=1e-15)
