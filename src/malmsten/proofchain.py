@@ -127,7 +127,7 @@ def _build_report(name: str, params: dict, lhs: float, rhs: float, tol: float,
 def delta_integrand(a: float) -> Callable[[float], float]:
     """ln(x^2 + a^2) / cosh(pi x), with ln(x^2+a^2) formed as
     2 ln hypot(x, a) so neither underflow nor overflow can corrupt it."""
-    aa = abs(float(a))
+    aa = abs(_checked_real(a, "a"))
 
     def f(x: float) -> float:
         return 2.0 * math.log(math.hypot(x, aa)) * sech(math.pi * x)

@@ -229,10 +229,10 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     tol.max_level levels, or a span too narrow for any node to fall
     strictly inside it, is reported via converged=False.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if any(isinstance(v, float) and not math.isfinite(v) for v in (lo, hi)):
         raise ValueError(f"bounds must be finite, got [{lo!r}, {hi!r}]")
+    lo = _checked_real(lo, "lo")
+    hi = _checked_real(hi, "hi")
     if not lo < hi:
         raise ValueError(f"lower bound must be strictly below upper, got [{lo!r}, {hi!r}]")
     halfspan = 0.5 * (hi - lo)

@@ -25,6 +25,7 @@ from malmsten.proofchain import (
     check_sech_cosine_transform,
     check_t_domain,
     check_z_domain,
+    delta_integrand,
     run_full_chain,
 )
 
@@ -323,3 +324,10 @@ def test_full_chain_validation():
             run_full_chain([bad])
         with pytest.raises(ValueError, match=r"^tol must be a finite real >= 1e-14, got "):
             run_full_chain([1.0], tol=bad)
+
+
+@pytest.mark.parametrize("bad", [None, "abc", 10**400, float("nan"), float("inf")],
+                         ids=["None", "str", "huge_int", "nan", "inf"])
+def test_delta_integrand_validates_a(bad):
+    with pytest.raises(ValueError, match=r"^a must be a finite real, got "):
+        delta_integrand(bad)

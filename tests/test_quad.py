@@ -203,10 +203,17 @@ def test_bounds_validation():
         integrate_finite(math.cos, 1.0, 1.0)
     with pytest.raises(ValueError):
         integrate_finite(math.cos, 2.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bounds must be finite, got \[0.0, inf\]$"):
         integrate_finite(math.cos, 0.0, float("inf"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bounds must be finite, got \[nan, 1.0\]$"):
         integrate_finite(math.cos, float("nan"), 1.0)
+    # Values float() rejects name the bound instead of escaping as
+    # TypeError, float()'s own ValueError or OverflowError.
+    for bad in (None, "a", 10**400):
+        with pytest.raises(ValueError, match=r"^lo must be a finite real, got "):
+            integrate_finite(math.cos, bad, 1.0)
+        with pytest.raises(ValueError, match=r"^hi must be a finite real, got "):
+            integrate_finite(math.cos, 0.0, bad)
 
 
 def test_midpoint_rounding_onto_an_endpoint_is_skipped():
