@@ -1,0 +1,92 @@
+"""Quadrature results against a multi-precision oracle.
+
+A fixed, seeded set of the integrals the identity chain relies on is
+integrated at four tolerances.  Every result that claims convergence must
+be within its own error_estimate of the exact value and within the
+tolerance it was asked for.  The exact values are the closed forms
+evaluated in mpmath with 50 working digits; only the mathematics is
+shared with the library.  The set includes the regions where estimates
+used to fall short: the z-domain form just above a = 0.02, whose
+integrand is nearly z**-1 at the left endpoint, and malmsten_c with a
+small b, whose integrand spreads far out before it decays.
+"""
+
+import math
+import random
+
+import pytest
+
+from malmsten import proofchain
+from malmsten.closedform import MalmstenParams
+from malmsten.quad import ToleranceSpec, integrate_finite, integrate_semi_infinite
+
+mpmath = pytest.importorskip("mpmath")
+
+REL_TOLS = (1e-6, 1e-9, 1e-12, 1e-14)
+_DPS = 50
+
+
+def _delta(a):
+    s = abs(mpmath.mpf(a)) / 2
+    return 2 * (mpmath.log(mpmath.sqrt(2)) + mpmath.loggamma(s + 0.75)
+                - mpmath.loggamma(s + 0.25))
+
+
+def _malmsten_c(a, b):
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    return (mpmath.pi / b) * (mpmath.log(2) + mpmath.log(a) / 2 - mpmath.log(b) / 2
+                              + 1.5 * mpmath.log(mpmath.pi) - 2 * mpmath.loggamma(0.25))
+
+
+def _log_uniform(rng, n, lo, hi):
+    """One log-uniform draw from each of n equal strata of [lo, hi]."""
+    width = (math.log10(hi) - math.log10(lo)) / n
+    return [10.0 ** (math.log10(lo) + width * (k + rng.random())) for k in range(n)]
+
+
+def _cases():
+    """(label, integrate() -> QuadratureResult given a ToleranceSpec, exact value)."""
+    rng = random.Random(1)
+    cases = []
+    for k, a in enumerate(_log_uniform(rng, 40, 1e-3, 1e2)):
+        a = a if k % 2 else -a
+        cases.append((f"delta a={a!r}",
+                      lambda tol, f=proofchain.delta_integrand(a): integrate_semi_infinite(f, tol),
+                      _delta(a)))
+    cases.append(("vardi", lambda tol: integrate_semi_infinite(proofchain.vardi_b_integrand(), tol),
+                  _malmsten_c(1, 1)))
+    pairs = []
+    for n, b_range in ((64, (1e-2, 1e2)), (12, (0.01, 0.04))):
+        bs = _log_uniform(rng, n, *b_range)
+        rng.shuffle(bs)
+        pairs += zip(_log_uniform(rng, n, 1e-3, 1e3), bs)
+    for a, b in pairs:
+        f = proofchain.malmsten_c_integrand(MalmstenParams(a, b))
+        cases.append((f"c a={a!r} b={b!r}",
+                      lambda tol, f=f: integrate_semi_infinite(f, tol),
+                      _malmsten_c(a, b)))
+    for a in _log_uniform(rng, 40, 0.02, 20.0) + _log_uniform(rng, 12, 0.0202, 0.022):
+        f = proofchain._z_domain_integrand(a)
+        cases.append((f"z_domain a={a!r}",
+                      lambda tol, f=f: integrate_finite(f, 0.0, 1.0, tol),
+                      _delta(a) - mpmath.log(a)))
+    return cases
+
+
+def test_converged_results_are_within_estimate_and_tolerance():
+    bad = []
+    converged = 0
+    with mpmath.workdps(_DPS):
+        for label, integrate, exact in _cases():
+            for rel_tol in REL_TOLS:
+                tol = ToleranceSpec(rel_tol=rel_tol)
+                res = integrate(tol)
+                if not res.converged:
+                    continue
+                converged += 1
+                err = float(abs(mpmath.mpf(res.value) - exact))
+                bound = max(tol.abs_tol, rel_tol * float(abs(exact)))
+                if not err <= min(res.error_estimate, bound):
+                    bad.append((label, rel_tol, res.value, err, res.error_estimate, bound))
+    assert converged > 600
+    assert not bad, bad

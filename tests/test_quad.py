@@ -6,11 +6,13 @@ determinism, endpoint avoidance, and the failure modes.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from malmsten import quad
 from malmsten.quad import (
     DEFAULT_TOLERANCE,
     QuadratureError,
@@ -246,3 +248,77 @@ def test_overflowing_span_stays_inside_the_interval():
     assert all(math.isfinite(z) and lo < z < hi for z in seen)
     assert not res.converged
     assert math.isfinite(res.value) and math.isfinite(res.error_estimate)
+
+
+# -- trimming: later levels sum each side only where level 0 found mass -------
+
+def _exp_sinh_up_node(t):
+    """The exp-sinh abscissa x(t) > 1 at a level-0 t, as the tables build it."""
+    return math.exp(math.pi / 2.0 * math.sinh(t))
+
+
+ONE_SIDED = [
+    ("exp", lambda x: math.exp(-x), 1.0),
+    ("x_exp", lambda x: x * math.exp(-x), 1.0),
+    ("compact", lambda x: (1.0 - x) ** 3 if x < 1.0 else 0.0, 0.25),
+]
+
+ONE_SIDED_FINITE = [
+    ("exp_left", lambda z: math.exp(-40.0 * z), -math.expm1(-40.0) / 40.0),
+    ("flat_right", lambda z: (1.0 - z) ** 6, 1.0 / 7.0),
+    ("compact", lambda z: (0.5 - z) ** 3 if z < 0.5 else 0.0, 1.0 / 64.0),
+]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("name,f,exact", ONE_SIDED, ids=[c[0] for c in ONE_SIDED])
+def test_trimmed_semi_infinite_within_estimate(name, f, exact, rel_tol):
+    res = integrate_semi_infinite(f, ToleranceSpec(rel_tol=rel_tol))
+    assert res.converged
+    assert abs(res.value - exact) <= res.error_estimate
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("name,f,exact", ONE_SIDED_FINITE, ids=[c[0] for c in ONE_SIDED_FINITE])
+def test_trimmed_finite_within_estimate(name, f, exact, rel_tol):
+    res = integrate_finite(f, 0.0, 1.0, ToleranceSpec(rel_tol=rel_tol))
+    assert res.converged
+    assert abs(res.value - exact) <= res.error_estimate
+
+
+def test_deep_levels_still_trim_and_are_not_retained():
+    # exp(-x)/x diverges at 0, so every level up to 14 runs.  Its up side
+    # is negligible from t = 2 (x ~ 298) on: past that, f only ever sees
+    # the level-0 nodes.
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.exp(-x) / x
+
+    res = integrate_semi_infinite(f, ToleranceSpec(max_level=14))
+    assert not res.converged
+    assert sorted(x for x in seen if x > 300.0) == [_exp_sinh_up_node(t) for t in (3.0, 4.0, 5.0, 6.0)]
+    assert len(seen) > 20_000
+    assert max(quad._EXP_SINH) == max(quad._TANH_SINH) == DEFAULT_TOLERANCE.max_level
+
+
+def test_nan_at_a_level0_node_beyond_the_trim_limit_raises():
+    bad = _exp_sinh_up_node(4.0)
+
+    def f(x):
+        return float("nan") if x == bad else math.exp(-x)
+
+    with pytest.raises(QuadratureError, match=re.escape(f"x = {bad!r}") + "$"):
+        integrate_semi_infinite(f)
+
+
+def test_nan_only_beyond_the_trim_limit_is_never_seen():
+    # No level-0 node lies in (1e3, 1e5), and from level 1 on the up side
+    # of exp(-x) is summed only below x ~ 298.
+    def f(x):
+        return float("nan") if 1e3 < x < 1e5 else math.exp(-x)
+
+    res = integrate_semi_infinite(f)
+    assert res.converged
+    assert abs(res.value - 1.0) <= res.error_estimate

@@ -1,11 +1,24 @@
-"""The table-driven DE engine against the per-node loops it replaced.
+"""The table-driven DE engine against per-node loops that state its rules.
 
-The reference engine below is the earlier implementation, which
-recomputed every node and weight on every call.  The tables sum the
-same products in the same order, so results must agree bit for bit:
-compared by repr, value, estimate, evaluation count and verdict.  The
-one intended difference is a call that evaluates f nowhere, which now
-reports converged=False with an infinite estimate.
+The reference engine below recomputes every node and weight on every
+call, as the engine once did, and restates in its own terms what the
+engine now does with them:
+
+    trim      after level 0, each side of the transform is summed only
+              at t below one level-0 step past its outermost node whose
+              |w*f| exceeds eps times the level's sum of |w*f|, unless
+              that side's own sum is 0 or the level's sum is not finite;
+    estimate  a converged result reports the largest of the last level
+              difference, 8 * eps * h * sum|w*f| over every node summed,
+              and h * |w*f| at the outermost node of either side at the
+              last level.  Each level's sum|w*f| is formed as its sum of
+              w*f minus twice the sum of its negative terms.
+
+The engine sums the same products in the same order, so results must
+agree bit for bit: compared by repr, value, estimate, evaluation count
+and verdict.  The one intended difference is a call that evaluates f
+nowhere, which the engine reports as converged=False with an infinite
+estimate.
 
 The remaining tests pin the tables' retention limit and their safety
 when threads build a cold level at once.
@@ -34,6 +47,7 @@ _WEIGHT_FLOOR = 1e-300
 _EXP_ARG_CAP = 667.0
 _T_CAP = 8.0
 _EPS = 2.0 ** -52
+_UNTRIMMED = (math.inf, math.inf)
 
 
 # -- reference engine: per-node loops, nothing cached -----------------------
@@ -46,34 +60,54 @@ def _call(f, x, count):
     return fx
 
 
-def _refine(new_nodes, tol, count):
-    total = new_nodes(1.0, True)
+def _trim_limits(sides, abs_total):
+    """Per side, the t below which later levels sum it."""
+    limits = []
+    for terms in sides:
+        if not (math.isfinite(abs_total) and sum(abs(t) for t in terms) > 0.0):
+            limits.append(math.inf)
+            continue
+        significant = [k for k, t in enumerate(terms, 1) if abs(t) > _EPS * abs_total]
+        limits.append(max(significant, default=0) + 1)
+    return limits
+
+
+def _refine(new_nodes, tol, count, trim):
+    """new_nodes(h, first, limits) -> (sum w*f, sum |w*f|, w*f of each
+    side's nodes outward), side 0 being the one the engine sums first."""
+    total, abs_total, sides = new_nodes(1.0, True, _UNTRIMMED)
+    limits = _trim_limits(sides, abs_total) if trim else _UNTRIMMED
     value = total
     diff = math.inf
     for level in range(1, tol.max_level + 1):
         h = 0.5 ** level
-        total += new_nodes(h, False)
+        partial, abs_partial, sides = new_nodes(h, False, limits)
+        total += partial
+        abs_total += abs_partial
         prev = value
         value = h * total
         diff = abs(value - prev)
         if math.isfinite(value) and diff <= max(tol.abs_tol, tol.rel_tol * abs(value)):
-            estimate = max(diff, abs(value) * _EPS)
+            edge = max((abs(terms[-1]) for terms in sides if terms), default=0.0)
+            estimate = max(diff, 8.0 * _EPS * h * abs_total, h * edge)
             return QuadratureResult(value, estimate, count[0], True)
     estimate = diff if math.isfinite(diff) else math.inf
     return QuadratureResult(value, estimate, count[0], False)
 
 
-def reference_finite(f, lo, hi, tol=DEFAULT_TOLERANCE):
+def reference_finite(f, lo, hi, tol=DEFAULT_TOLERANCE, trim=True):
     halfspan = 0.5 * (hi - lo)
     mid = lo + halfspan
     count = [0]
 
-    def new_nodes(h, first):
+    def new_nodes(h, first, limits):
         partial = 0.0
+        negative = 0.0
+        sides = ([], [])
         k = 0 if first else 1
         step = 1 if first else 2
-        left_alive = True
         right_alive = True
+        left_alive = True
         while True:
             t = k * h
             if t > _T_CAP:
@@ -85,34 +119,46 @@ def reference_finite(f, lo, hi, tol=DEFAULT_TOLERANCE):
             if w < _WEIGHT_FLOOR:
                 break
             if k == 0:
-                partial += w * _call(f, mid, count)
+                term = w * _call(f, mid, count)
+                partial += term
+                negative += min(term, 0.0)
             else:
                 off = halfspan * (2.0 * e2 / (1.0 + e2))
+                right_alive = right_alive and t < limits[0]
+                left_alive = left_alive and t < limits[1]
                 if right_alive:
                     x = hi - off
                     if x >= hi:
                         right_alive = False
                     else:
-                        partial += w * _call(f, x, count)
+                        term = w * _call(f, x, count)
+                        partial += term
+                        negative += min(term, 0.0)
+                        sides[0].append(term)
                 if left_alive:
                     x = lo + off
                     if x <= lo:
                         left_alive = False
                     else:
-                        partial += w * _call(f, x, count)
+                        term = w * _call(f, x, count)
+                        partial += term
+                        negative += min(term, 0.0)
+                        sides[1].append(term)
                 if not (left_alive or right_alive):
                     break
             k += step
-        return partial
+        return partial, partial - 2.0 * negative, sides
 
-    return _refine(new_nodes, tol, count)
+    return _refine(new_nodes, tol, count, trim)
 
 
-def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE):
+def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE, trim=True):
     count = [0]
 
-    def new_nodes(h, first):
+    def new_nodes(h, first, limits):
         partial = 0.0
+        negative = 0.0
+        sides = ([], [])
         k = 0 if first else 1
         step = 1 if first else 2
         up_alive = True
@@ -122,29 +168,37 @@ def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE):
             if t > _T_CAP:
                 break
             if k == 0:
-                partial += _HALF_PI * _call(f, 1.0, count)
+                term = _HALF_PI * _call(f, 1.0, count)
+                partial += term
+                negative += min(term, 0.0)
             else:
                 arg = _HALF_PI * math.sinh(t)
                 ch = math.cosh(t)
                 if up_alive:
                     if arg > _EXP_ARG_CAP:
                         up_alive = False
-                    else:
+                    elif t < limits[0]:
                         x = math.exp(arg)
-                        partial += _HALF_PI * ch * x * _call(f, x, count)
+                        term = _HALF_PI * ch * x * _call(f, x, count)
+                        partial += term
+                        negative += min(term, 0.0)
+                        sides[0].append(term)
                 if down_alive:
                     x = math.exp(-arg)
                     w = _HALF_PI * ch * x
                     if w < _WEIGHT_FLOOR:
                         down_alive = False
-                    else:
-                        partial += w * _call(f, x, count)
+                    elif t < limits[1]:
+                        term = w * _call(f, x, count)
+                        partial += term
+                        negative += min(term, 0.0)
+                        sides[1].append(term)
                 if not (up_alive or down_alive):
                     break
             k += step
-        return partial
+        return partial, partial - 2.0 * negative, sides
 
-    return _refine(new_nodes, tol, count)
+    return _refine(new_nodes, tol, count, trim)
 
 
 def _expected(ref: QuadratureResult) -> QuadratureResult:
@@ -248,6 +302,23 @@ def test_nan_message_matches_reference(cut):
         assert str(got.value) == str(expected.value)
 
 
+def test_zero_at_every_level0_node_is_not_trimmed():
+    # Level 0 sees no mass at all, so it says nothing about where either
+    # side ends: both are summed out to their natural ends.  (The missing
+    # level-0 mass keeps the levels apart, so the call never converges.)
+    level0 = {1.0}
+    for k in range(1, 7):
+        arg = _HALF_PI * math.sinh(float(k))
+        level0 |= {math.exp(arg), math.exp(-arg)}
+
+    def f(x):
+        return 0.0 if x in level0 else math.exp(-x)
+
+    got = integrate_semi_infinite(f)
+    assert repr(got) == repr(reference_semi_infinite(f, trim=False))
+    assert got.evaluations > integrate_semi_infinite(lambda x: math.exp(-x)).evaluations
+
+
 def test_full_chain_matches_reference(monkeypatch):
     grid = [0.25, 0.5, 1.0, 2.0, 4.0, 0.005]
     got = proofchain.run_full_chain(grid)
@@ -259,7 +330,7 @@ def test_full_chain_matches_reference(monkeypatch):
 # -- retention and thread safety ----------------------------------------------
 
 def _node_count(cache):
-    return sum(len(nodes) for nodes, _ in cache.values())
+    return sum(len(table[0]) for table in cache.values())
 
 
 @pytest.fixture
