@@ -321,7 +321,7 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
         if level == 0:
             w = _HALF_PI * halfspan
             if w < _WEIGHT_FLOOR:
-                return partial, negative, n, right, left
+                return 0.0, 0.0, 0, 0.0, 0.0
             if lo < mid < hi:              # a tiny span can round mid onto an endpoint
                 fx = f(mid)
                 n += 1

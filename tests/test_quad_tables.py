@@ -302,14 +302,19 @@ def test_nan_message_matches_reference(cut):
         assert str(got.value) == str(expected.value)
 
 
+def _level0_exp_sinh_abscissae():
+    nodes = {1.0}
+    for k in range(1, 7):
+        arg = _HALF_PI * math.sinh(float(k))
+        nodes |= {math.exp(arg), math.exp(-arg)}
+    return nodes
+
+
 def test_zero_at_every_level0_node_is_not_trimmed():
     # Level 0 sees no mass at all, so it says nothing about where either
     # side ends: both are summed out to their natural ends.  (The missing
     # level-0 mass keeps the levels apart, so the call never converges.)
-    level0 = {1.0}
-    for k in range(1, 7):
-        arg = _HALF_PI * math.sinh(float(k))
-        level0 |= {math.exp(arg), math.exp(-arg)}
+    level0 = _level0_exp_sinh_abscissae()
 
     def f(x):
         return 0.0 if x in level0 else math.exp(-x)
@@ -317,6 +322,15 @@ def test_zero_at_every_level0_node_is_not_trimmed():
     got = integrate_semi_infinite(f)
     assert repr(got) == repr(reference_semi_infinite(f, trim=False))
     assert got.evaluations > integrate_semi_infinite(lambda x: math.exp(-x)).evaluations
+
+
+def test_infinite_level0_sum_is_not_trimmed():
+    def f(x):
+        return math.inf if x == 1.0 else math.exp(-x)
+
+    got = integrate_semi_infinite(f, ToleranceSpec(max_level=4))
+    assert not got.converged
+    assert repr(got) == repr(reference_semi_infinite(f, ToleranceSpec(max_level=4), trim=False))
 
 
 def test_full_chain_matches_reference(monkeypatch):
