@@ -289,7 +289,9 @@ def _exp_sinh_nodes(level: int) -> tuple:
             break
         k += step
     n_up = len(xs) - (level == 0)
-    return memoryview(xs + down_xs), memoryview(ws + down_ws), n_up
+    xs.extend(down_xs)
+    ws.extend(down_ws)
+    return memoryview(xs), memoryview(ws), n_up
 
 
 def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
