@@ -251,46 +251,30 @@ def _exp_sinh_nodes(level: int) -> tuple:
     are memoryviews of arrays, so a call slices out a side without a copy.
     """
     h = 0.5 ** level
-    if level == 0:
-        xs = array("d", [1.0])             # x(0) = 1, weight pi/2
-        ws = array("d", [_HALF_PI])
-        step = 1
-    else:
-        xs = array("d")
-        ws = array("d")
-        step = 2
-    down_xs = array("d")
-    down_ws = array("d")
+    step = 1 if level == 0 else 2
+    xs = array("d", [1.0] if level == 0 else [])          # x(0) = 1, weight pi/2
+    ws = array("d", [_HALF_PI] if level == 0 else [])
     k = 1
-    up_alive = True
-    down_alive = True
-    while True:
+    while k * h <= _T_CAP:                 # up: x = exp(arg) until arg passes its cap
         t = k * h
-        if t > _T_CAP:
-            break
         arg = _HALF_PI * math.sinh(t)
-        ch = math.cosh(t)
-        if up_alive:
-            if arg > _EXP_ARG_CAP:
-                up_alive = False
-            else:
-                x = math.exp(arg)
-                xs.append(x)
-                ws.append(_HALF_PI * ch * x)
-        if down_alive:
-            x = math.exp(-arg)
-            w = _HALF_PI * ch * x
-            if w < _WEIGHT_FLOOR:
-                down_alive = False
-            else:
-                down_xs.append(x)
-                down_ws.append(w)
-        if not (up_alive or down_alive):
+        if arg > _EXP_ARG_CAP:
             break
+        x = math.exp(arg)
+        xs.append(x)
+        ws.append(_HALF_PI * math.cosh(t) * x)
         k += step
     n_up = len(xs) - (level == 0)
-    xs.extend(down_xs)
-    ws.extend(down_ws)
+    k = 1
+    while k * h <= _T_CAP:                 # down: x = exp(-arg) until w underflows
+        t = k * h
+        x = math.exp(-(_HALF_PI * math.sinh(t)))
+        w = _HALF_PI * math.cosh(t) * x
+        if w < _WEIGHT_FLOOR:
+            break
+        xs.append(x)
+        ws.append(w)
+        k += step
     return memoryview(xs), memoryview(ws), n_up
 
 
