@@ -143,9 +143,6 @@ def _nan_error(x) -> QuadratureError:
     return QuadratureError(f"integrand returned NaN at x = {x!r}")
 
 
-_WHOLE = (math.inf, math.inf)   # limits that trim neither side
-
-
 def _limits(terms: tuple, abs_sum: float) -> list:
     """The trim limit of each side, in level-0 steps of t.
 
@@ -156,7 +153,7 @@ def _limits(terms: tuple, abs_sum: float) -> list:
     abs_sum is not finite, because the level then says nothing about
     where it ends, or when the cut would fall past its last level-0 node.
     """
-    limits = list(_WHOLE)
+    limits = [math.inf, math.inf]
     if math.isfinite(abs_sum):
         threshold = _EPS * abs_sum
         for side, side_terms in enumerate(terms):
@@ -169,19 +166,19 @@ def _limits(terms: tuple, abs_sum: float) -> list:
     return limits
 
 
-def _refine(sweep: Callable[[int, tuple, tuple], tuple], tol: ToleranceSpec) -> QuadratureResult:
+def _refine(sweep: Callable[[int, list, tuple], tuple], tol: ToleranceSpec) -> QuadratureResult:
     """Drive level doubling over a two-sided node sum.
 
     sweep(level, limits, terms) sums over the nodes that are new at step
     h = 2**-level (all of them at level 0, the center node first; odd
     indexed ones after) and returns (sum of w*f, sum of |w*f|, number of
-    f calls, and w*f at each side's outermost node).  Each side sums only
-    its nodes with t below limits[side], in level-0 steps; terms, given
-    at level 0 only, is a pair of lists that receive each side's w*f.
-    The level-L value is h_L times the running total.
+    f calls, and w*f at each side's outermost node).  After level 0 each
+    side sums only its nodes with t below limits[side], in level-0 steps;
+    terms, given at level 0 only, is a pair of lists that receive each
+    side's w*f.  The level-L value is h_L times the running total.
     """
     terms = ([], [])
-    total, abs_total, count, _, _ = sweep(0, _WHOLE, terms)
+    total, abs_total, count, _, _ = sweep(0, None, terms)
     limits = _limits(terms, abs_total)
     value = total
     diff = math.inf

@@ -106,8 +106,8 @@ def reference_finite(f, lo, hi, tol=DEFAULT_TOLERANCE, trim=True):
         sides = ([], [])
         k = 0 if first else 1
         step = 1 if first else 2
-        right_alive = True
         left_alive = True
+        right_alive = True
         while True:
             t = k * h
             if t > _T_CAP:
