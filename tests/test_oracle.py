@@ -6,9 +6,10 @@ be within its own error_estimate of the exact value and within the
 tolerance it was asked for.  The exact values are the closed forms
 evaluated in mpmath with 50 working digits; only the mathematics is
 shared with the library.  The set includes the regions where estimates
-used to fall short: the z-domain form just above a = 0.02, whose
-integrand is nearly z**-1 at the left endpoint, and malmsten_c with a
-small b, whose integrand spreads far out before it decays.
+used to fall short: the z-domain form just above a = 0.02, at both ends
+of the a range check_z_domain accepts, and malmsten_c with a small b,
+whose integrand spreads far out before it decays.  The z-domain cases at
+the ends of that range must also converge at every tolerance.
 """
 
 import math
@@ -44,6 +45,25 @@ def _log_uniform(rng, n, lo, hi):
     return [10.0 ** (math.log10(lo) + width * (k + rng.random())) for k in range(n)]
 
 
+def _log_spaced(n, lo, hi):
+    """n points from lo to hi, both included, equally spaced in log."""
+    step = (math.log10(hi) - math.log10(lo)) / (n - 1)
+    return [10.0 ** (math.log10(lo) + step * k) for k in range(n)]
+
+
+# z-domain a at both ends of the range check_z_domain accepts: just above
+# SMALL_A_CUTOFF, where the z**(2a-1) mass crowds z = 0, and large, where
+# it sits within 1/(2a) of z = 1.
+Z_DOMAIN_EDGE_A = _log_spaced(24, 1.001e-3, 0.012) + _log_spaced(24, 1e3, 1e12)
+
+
+def _z_domain_case(a):
+    f = proofchain._z_domain_integrand(a)
+    return (f"z_domain a={a!r}",
+            lambda tol, f=f: integrate_finite(f, 0.0, 1.0, tol),
+            _delta(a) - mpmath.log(a))
+
+
 def _cases():
     """(label, integrate() -> QuadratureResult given a ToleranceSpec, exact value)."""
     rng = random.Random(1)
@@ -65,11 +85,8 @@ def _cases():
         cases.append((f"c a={a!r} b={b!r}",
                       lambda tol, f=f: integrate_semi_infinite(f, tol),
                       _malmsten_c(a, b)))
-    for a in _log_uniform(rng, 40, 0.02, 20.0) + _log_uniform(rng, 12, 0.0202, 0.022):
-        f = proofchain._z_domain_integrand(a)
-        cases.append((f"z_domain a={a!r}",
-                      lambda tol, f=f: integrate_finite(f, 0.0, 1.0, tol),
-                      _delta(a) - mpmath.log(a)))
+    zs = _log_uniform(rng, 40, 0.02, 20.0) + _log_uniform(rng, 12, 0.0202, 0.022)
+    cases += [_z_domain_case(a) for a in zs + Z_DOMAIN_EDGE_A]
     return cases
 
 
@@ -90,3 +107,10 @@ def test_converged_results_are_within_estimate_and_tolerance():
                     bad.append((label, rel_tol, res.value, err, res.error_estimate, bound))
     assert converged > 600
     assert not bad, bad
+
+
+def test_z_domain_converges_on_its_whole_range():
+    failed = [(a, rel_tol) for a in Z_DOMAIN_EDGE_A for rel_tol in REL_TOLS
+              if not integrate_finite(proofchain._z_domain_integrand(a), 0.0, 1.0,
+                                      ToleranceSpec(rel_tol=rel_tol)).converged]
+    assert not failed, failed

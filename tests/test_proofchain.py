@@ -102,6 +102,16 @@ def test_z_domain_half():
     _assert_report_consistent(rep)
 
 
+@pytest.mark.parametrize("a", [0.002, 0.005, 0.0115])
+def test_z_domain_just_above_cutoff(a):
+    # The z^{2a-1} mass lies closer to z = 0 than any tanh-sinh node in z;
+    # the step integrates in u = z^{2a}, where it is spread over (0, 1).
+    rep = check_z_domain(a)
+    assert rep.passed
+    assert rep.evaluations < 1000
+    _assert_report_consistent(rep)
+
+
 def test_small_magnitude_preconditions():
     for check in (check_t_domain, check_z_domain):
         with pytest.raises(ValueError):
@@ -183,7 +193,9 @@ def test_c_quadrature():
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_intermediate_routes_agree(a):
-    # Four independent routes to delta(a) - ln a must agree pairwise.
+    # Four routes to delta(a) - ln a must agree pairwise.  The t- and
+    # z-domain steps integrate the same analytic form, in t and in
+    # u = e^{-2at}, by different DE transforms.
     routes = [
         check_arctan_kernel(a).rhs,
         check_t_domain(a).rhs,
