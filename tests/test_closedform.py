@@ -8,7 +8,7 @@ laws, special points) are checked independently of those constants.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from malmsten.closedform import (
@@ -117,11 +117,14 @@ def test_malmsten_c_known_shift():
     st.floats(min_value=1e-2, max_value=1e2),
     st.floats(min_value=1e-2, max_value=1e2),
 )
+@example(a=760.1904353901714, lam=36.979223663414416, b=0.01)  # sides 3 ulps apart
 @settings(max_examples=200)
 def test_malmsten_c_scaling_law(a, lam, b):
+    # The law is exact, so the sides differ by roundoff only; at b = 0.01
+    # they reach thousands, where an absolute 1e-12 is a few ulps.
     lhs = malmsten_c(MalmstenParams(lam * a, b))
     rhs = malmsten_c(MalmstenParams(a, b)) + (math.pi / (2.0 * b)) * math.log(lam)
-    assert abs(lhs - rhs) <= 1e-12
+    assert math.isclose(lhs, rhs, rel_tol=1e-14, abs_tol=1e-12)
 
 
 @pytest.mark.parametrize("b", [0.2, 1.0, 5.0])
