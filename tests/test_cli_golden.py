@@ -41,11 +41,15 @@ CASES = [
     ["quad", "--which", "b", "--format", "csv"],
     ["quad", "--which", "c", "--a", "2", "--b", "3"],
     ["quad", "--which", "c", "--a", "0.1", "--b", "0.5", "--format", "csv"],
-    # verify: a passing grid with skips, and a failing one (exit 1)
+    # verify: a passing grid with skips, a point just above the z-domain
+    # cutoff that once failed, and a failing chain at the tolerance floor
+    # (exit 1)
     ["verify", "--grid", "0,-1,0.5"],
     ["verify", "--grid", "0,-1,0.5", "--format", "csv"],
     ["verify", "--grid", "0.005", "--tol", "1e-6"],
     ["verify", "--grid", "0.005", "--format", "csv"],
+    ["verify", "--grid", "1.0", "--tol", "1e-14"],
+    ["verify", "--grid", "1.0", "--tol", "1e-14", "--format", "csv"],
     # table
     ["table", "--a-min=-1", "--a-max", "1", "--steps", "3", "--format", "json"],
     ["table", "--a-min", "0", "--a-max", "2", "--steps", "4"],
