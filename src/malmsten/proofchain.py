@@ -293,12 +293,13 @@ def check_z_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     ((1+z^2) ln z) dz, the substitution z = e^{-t} of the t-domain form.
 
     The quadrature runs in u = z^{2a} = e^{-2at}, where the integral is
-    - int_0^1 (1-z)^2 / ((1+z^2) ln u) du: the z^{2a-1} mass that sits
-    next to z = 0 for small a, and within 1/(2a) of z = 1 for large a,
-    is spread over (0, 1).  The integrand is completed by its limits 0
-    at both ends.  So this step differs from t_domain only in its
-    transform (tanh-sinh instead of exp-sinh) and its scale; it no
-    longer evaluates the literal z = e^{-t} form.
+    - int_0^1 (1-z)^2 / ((1+z^2) ln u) du, completed by its limit 0 at
+    both ends.  In z the mass crowds z = 0 for small a, nearer than any
+    node, and z = 1 for large a, where the first levels miss it and
+    agree by accident; in u it spreads over (0, 1).  So this step
+    differs from t_domain only in its transform (tanh-sinh instead of
+    exp-sinh) and its scale, and no longer evaluates the literal
+    z = e^{-t} form.
 
     Requires a > SMALL_A_CUTOFF.
     """

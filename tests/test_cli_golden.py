@@ -42,8 +42,7 @@ CASES = [
     ["quad", "--which", "c", "--a", "2", "--b", "3"],
     ["quad", "--which", "c", "--a", "0.1", "--b", "0.5", "--format", "csv"],
     # verify: a passing grid with skips, a point just above the z-domain
-    # cutoff that once failed, and a failing chain at the tolerance floor
-    # (exit 1)
+    # cutoff, and a failing chain at the tolerance floor (exit 1)
     ["verify", "--grid", "0,-1,0.5"],
     ["verify", "--grid", "0,-1,0.5", "--format", "csv"],
     ["verify", "--grid", "0.005", "--tol", "1e-6"],
