@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from .closedform import MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
 from .quad import integrate_finite, integrate_semi_infinite
-from .specfun import _checked_real, digamma, gamma_ratio_log, sech
+from .specfun import _checked_real, _digamma_quartet, digamma, gamma_ratio_log, sech
 
 __all__ = [
     "DEFAULT_TOL",
@@ -210,10 +210,7 @@ def _p_integrand(a: float) -> Callable[[float], float]:
     half_a = 0.5 * float(a)
 
     def f(p: float) -> float:
-        lo = half_a + 0.25 * p
-        hi = lo + 0.25
-        return -0.25 * (digamma(lo) - digamma(lo + 0.5)
-                        - digamma(hi) + digamma(hi + 0.5))
+        return -0.25 * _digamma_quartet(half_a + 0.25 * p)
 
     return f
 

@@ -16,6 +16,27 @@ roundoff: ~1.4e-19 relative for ln_gamma, ~4.4e-17 absolute for
 digamma.  Smaller arguments are shifted upward with the recurrences
 ln Gamma(x) = ln Gamma(x+1) - ln(x) and psi(x) = psi(x+1) - 1/x.
 
+Three private kernels evaluate the combinations the closed forms and
+the identity chain need, each as one expansion instead of a difference
+of the public functions, whose leading terms would cancel:
+
+    R(s)  = ln Gamma(s + 3/4) - ln Gamma(s + 1/4),
+    R'(s) = psi(s + 3/4) - psi(s + 1/4),
+    Q(x)  = psi(x) - psi(x + 1/2) - psi(x + 1/4) + psi(x + 3/4).
+
+Each comes from the Bernoulli-polynomial expansion
+ln Gamma(z + h) ~ (z + h - 1/2) ln z - z + ln(2 pi)/2
++ sum_{k>=2} (-1)^k B_k(h) / (k (k-1) z^{k-1}) (DLMF 5.11.8), in which
+the ln z and z terms of a combination cancel exactly.  Shifts placed
+symmetrically about 1/2 in the expansion variable leave only even
+powers: z = s for R and R', z = x - 1/8 for Q.  An argument below
+_LIFT_THRESHOLD (10) is first raised by whole steps with
+Gamma(z+1) = z Gamma(z), whose terms all have one sign: R multiplies
+(s + 1/4)/(s + 3/4) into a product and takes one logarithm at the end,
+R' adds 1/2/((s + 1/4)(s + 3/4)) and Q subtracts
+(x/4 + 3/32)/(x (x + 1/2)(x + 1/4)(x + 3/4)).  At the threshold the
+first omitted series term is below 2^-56 of each result.
+
 All functions are pure and operate on ordinary floats.
 """
 
@@ -53,6 +74,55 @@ _DIGAMMA_COEFFS = (
 )
 
 _HALF_LN_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+
+# Kernel arguments below this are lifted by whole steps before the series
+# is used.
+_LIFT_THRESHOLD = 10.0
+
+# The kernels' series coefficients, each rational written as int / int,
+# which Python rounds correctly to the nearest float.
+# R: -2 B_k(3/4) / (k (k-1)) for odd k = 3..17, the coefficient of
+# s^{1-k}; the numerators are the Euler numbers E_{k-1}.
+_LGAMMA_RATIO_COEFFS = (
+    1 / 64,
+    -5 / 2048,
+    61 / 49152,
+    -1385 / 1048576,
+    50521 / 20971520,
+    -2702765 / 402653184,
+    199360981 / 7516192768,
+    -19391512145 / 137438953472,
+)
+
+# R': 2 B_k(3/4) / k for odd k = 3..19, the coefficient of s^{-k}: the R
+# series differentiated term by term.
+_DIGAMMA_DIFF_COEFFS = (
+    -1 / 32,
+    5 / 512,
+    -61 / 8192,
+    1385 / 131072,
+    -50521 / 2097152,
+    2702765 / 33554432,
+    -199360981 / 536870912,
+    19391512145 / 8589934592,
+    -2404879675441 / 137438953472,
+)
+
+# Q: -2 (B_k(1/8) - B_k(3/8)) / k for even k = 2..22, the coefficient of
+# w^{-k} with w = x - 1/8; the odd powers cancel.
+_DIGAMMA_QUARTET_COEFFS = (
+    -1 / 8,
+    11 / 512,
+    -361 / 32768,
+    24611 / 2097152,
+    -2873041 / 134217728,
+    512343611 / 8589934592,
+    -129570724921 / 549755813888,
+    44110959165011 / 35184372088832,
+    -19450718635716001 / 2251799813685248,
+    10784052561125704811 / 144115188075855872,
+    -7342627959965776406281 / 9223372036854775808,
+)
 
 
 def _checked_real(x, name: str, positive: bool = False) -> float:
@@ -130,3 +200,44 @@ def sech(y: float) -> float:
     """
     e = math.exp(-abs(y))
     return 2.0 * e / (1.0 + e * e)
+
+
+def _lgamma_ratio(s: float) -> float:
+    """R(s) = ln Gamma(s + 3/4) - ln Gamma(s + 1/4) for s >= 0."""
+    ratio = 1.0
+    while s < _LIFT_THRESHOLD:
+        ratio *= (s + 0.25) / (s + 0.75)
+        s += 1.0
+    inv2 = 1.0 / (s * s)
+    series = 0.0
+    for c in reversed(_LGAMMA_RATIO_COEFFS):
+        series = series * inv2 + c
+    return 0.5 * math.log(s * ratio * ratio) + series * inv2
+
+
+def _digamma_diff(s: float) -> float:
+    """R'(s) = psi(s + 3/4) - psi(s + 1/4) for s >= 0."""
+    lift = 0.0
+    while s < _LIFT_THRESHOLD:
+        lift += 0.5 / ((s + 0.25) * (s + 0.75))
+        s += 1.0
+    inv = 1.0 / s
+    inv2 = inv * inv
+    series = 0.0
+    for c in reversed(_DIGAMMA_DIFF_COEFFS):
+        series = series * inv2 + c
+    return lift + inv * (0.5 + series * inv2)
+
+
+def _digamma_quartet(x: float) -> float:
+    """Q(x) = psi(x) - psi(x + 1/2) - psi(x + 1/4) + psi(x + 3/4) for x > 0."""
+    lift = 0.0
+    while x < _LIFT_THRESHOLD:
+        lift += (0.25 * x + 0.09375) / (x * (x + 0.5) * (x + 0.25) * (x + 0.75))
+        x += 1.0
+    w = x - 0.125
+    inv2 = 1.0 / (w * w)
+    series = 0.0
+    for c in reversed(_DIGAMMA_QUARTET_COEFFS):
+        series = series * inv2 + c
+    return series * inv2 - lift
