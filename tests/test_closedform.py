@@ -45,7 +45,7 @@ def test_delta_closed_half_is_ln_two_over_pi():
 
 
 def test_delta_closed_even_bitwise():
-    for a in (0.1, 0.5, 1.0, 3.75, 1e-8, 1e8, 0.0):
+    for a in (0.1, 0.5, 1.0, 3.75, 1e-8, 1e8, 1e300, 0.0):
         assert delta_closed(a) == delta_closed(-a)
     assert delta_closed(-0.0) == delta_closed(0.0)
 
@@ -56,12 +56,9 @@ def test_delta_closed_even_property(a):
     assert delta_closed(a) == delta_closed(-a)
 
 
-@given(st.floats(min_value=0.0, max_value=100.0), st.floats(min_value=1e-6, max_value=10.0))
+@given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=1e-6, max_value=10.0))
 @settings(max_examples=200)
 def test_delta_closed_strictly_increasing_in_magnitude(a, gap):
-    # Strictness needs the increment to clear the cancellation noise of the
-    # log-gamma difference (~eps * s ln s), hence the bounded domain; growth
-    # over the wide range is checked on a coarse grid below.
     assert delta_closed(a) < delta_closed(a + gap)
 
 

@@ -18,7 +18,8 @@ import random
 import pytest
 
 from malmsten import proofchain
-from malmsten.closedform import MalmstenParams
+from malmsten.closedform import MalmstenParams, delta_closed, delta_derivative
+from malmsten.specfun import _digamma_quartet
 from malmsten.quad import ToleranceSpec, integrate_finite, integrate_semi_infinite
 
 mpmath = pytest.importorskip("mpmath")
@@ -114,3 +115,71 @@ def test_z_domain_converges_on_its_whole_range():
               if not integrate_finite(proofchain._z_domain_integrand(a), 0.0, 1.0,
                                       ToleranceSpec(rel_tol=rel_tol)).converged]
     assert not failed, failed
+
+
+def _digits(x):
+    """Working digits that keep 40 after the cancellation between the
+    ln Gamma or psi terms of a reference, which grows like log10 |x|."""
+    return 40 + max(0, int(math.log10(abs(x))))
+
+
+# |a| over the whole range the closed forms accept.
+CLOSED_FORM_A = _log_spaced(121, 1e-300, 1e300) + [1.7e308]
+
+
+def test_delta_closed_on_its_whole_domain():
+    bad = []
+    for a in CLOSED_FORM_A:
+        with mpmath.workdps(_digits(a)):
+            ref = _delta(a)
+            err = float(abs(mpmath.mpf(delta_closed(a)) - ref))
+        if not err <= 4e-15 * max(float(abs(ref)), 1.0):
+            bad.append((a, err, float(ref)))
+    assert not bad, bad
+
+
+def test_delta_derivative_on_its_whole_domain():
+    bad = []
+    for a in CLOSED_FORM_A:
+        with mpmath.workdps(_digits(a)):
+            s = mpmath.mpf(a) / 2
+            ref = mpmath.digamma(s + 0.75) - mpmath.digamma(s + 0.25)
+            err = float(abs(mpmath.mpf(delta_derivative(a)) - ref))
+        if not err <= 2e-15 * float(ref):
+            bad.append((a, err, float(ref)))
+    assert not bad, bad
+
+
+def _quartet(x):
+    x = mpmath.mpf(x)
+    return (mpmath.digamma(x) - mpmath.digamma(x + 0.5)
+            - mpmath.digamma(x + 0.25) + mpmath.digamma(x + 0.75))
+
+
+def test_digamma_quartet_kernel():
+    bad = []
+    for x in _log_spaced(91, 1e-6, 1e12):
+        with mpmath.workdps(_digits(x * x)):
+            ref = _quartet(x)
+            err = float(abs((mpmath.mpf(_digamma_quartet(x)) - ref) / ref))
+        if not err <= 2e-15:
+            bad.append((x, err))
+    assert not bad, bad
+
+
+# At a = 1e6 the step's quadrature stops after 31 evaluations, once two
+# levels agree within its default abs_tol of 1e-15; with the integrand
+# evaluated exactly it returns the same value, 3.7e-14 relative off.
+@pytest.mark.parametrize("a, rel", [(1.0, 1e-14), (100.0, 1e-14), (1e4, 1e-14), (1e6, 1e-13)])
+def test_p_integral_quadrature_side(a, rel):
+    with mpmath.workdps(_digits(a)):
+        lo, hi = mpmath.mpf(a) / 2, mpmath.mpf(a) / 2 + 0.25
+
+        def bracket(p):
+            x, y = lo + p / 4, hi + p / 4
+            return (mpmath.loggamma(x) - mpmath.loggamma(x + 0.5)
+                    + mpmath.loggamma(y + 0.5) - mpmath.loggamma(y))
+
+        ref = bracket(0) - bracket(1)
+        err = float(abs((mpmath.mpf(proofchain.check_p_integral(a).lhs) - ref) / ref))
+    assert err <= rel

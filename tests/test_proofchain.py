@@ -102,6 +102,16 @@ def test_z_domain_half():
     _assert_report_consistent(rep)
 
 
+@pytest.mark.parametrize("check", [check_t_domain, check_z_domain])
+@pytest.mark.parametrize("a", [1e4, 1e6])
+def test_domain_steps_at_tight_tolerance(check, a):
+    # Both sides are delta(a) - ln a, 1.25e-13 at a = 1e6: the closed form
+    # must keep the digits that the log-gamma difference used to cancel.
+    rep = check(a, tol=1e-12)
+    assert rep.passed
+    _assert_report_consistent(rep)
+
+
 @pytest.mark.parametrize("a", [0.002, 0.005, 0.0115])
 def test_z_domain_just_above_cutoff(a):
     # The z^{2a-1} mass lies closer to z = 0 than any tanh-sinh node in z;

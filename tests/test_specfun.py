@@ -6,11 +6,13 @@ that do not depend on how the series is summed.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from malmsten import specfun
 from malmsten.specfun import digamma, gamma_ratio_log, ln_gamma, sech
 
 EULER_GAMMA = 0.5772156649015328606
@@ -159,3 +161,71 @@ def test_sech_basics():
     assert sech(-3.0) == sech(3.0)
     # cosh(1000) overflows; sech(1000) must quietly underflow instead.
     assert sech(1000.0) == 0.0
+
+
+def _bernoulli_numbers(n):
+    """B_0..B_n (B_1 = -1/2) from sum_{k<=m} C(m+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+_BERNOULLI = _bernoulli_numbers(30)
+
+
+def _bernoulli_poly(n, x):
+    return sum(math.comb(n, k) * _BERNOULLI[k] * x ** (n - k) for k in range(n + 1))
+
+
+def _quarter_diff(k):
+    return _bernoulli_poly(k, Fraction(3, 4)) - _bernoulli_poly(k, Fraction(1, 4))
+
+
+def _eighth_quartet(k):
+    return sum(sign * _bernoulli_poly(k, Fraction(n, 8))
+               for sign, n in ((1, 1), (-1, 5), (-1, 3), (1, 7)))
+
+
+# (coefficients, kernel, first k, k -> coefficient of z^-power(k) in the
+# DLMF 5.11.8 expansion, power, z - argument) for the three kernels.  Q is
+# expanded in w = x - 1/8: psi(x + h) = psi(w + 1/8 + h).
+KERNEL_SERIES = {
+    "lgamma_ratio": (specfun._LGAMMA_RATIO_COEFFS, specfun._lgamma_ratio, 3,
+                     lambda k: (-1) ** k * _quarter_diff(k) / (k * (k - 1)),
+                     lambda k: k - 1, 0),
+    "digamma_diff": (specfun._DIGAMMA_DIFF_COEFFS, specfun._digamma_diff, 3,
+                     lambda k: (-1) ** (k + 1) * _quarter_diff(k) / k,
+                     lambda k: k, 0),
+    "digamma_quartet": (specfun._DIGAMMA_QUARTET_COEFFS, specfun._digamma_quartet, 2,
+                        lambda k: (-1) ** (k + 1) * _eighth_quartet(k) / k,
+                        lambda k: k, -Fraction(1, 8)),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_SERIES)
+def test_kernel_coefficients_are_their_rationals(name):
+    coeffs, kernel, first, exact, power, shift = KERNEL_SERIES[name]
+    ks = range(first, first + 2 * len(coeffs) + 1, 2)
+    rationals = [exact(k) for k in ks]
+    # Each literal is the float nearest its rational, and the terms in
+    # between vanish because the shifts are symmetric about 1/2.
+    assert list(coeffs) == [float(r) for r in rationals[:-1]]
+    assert exact(first - 1) == 0 and all(exact(k + 1) == 0 for k in ks)
+    # The first omitted term, at the lift threshold, is below 2^-56 of the
+    # kernel's value there.
+    z = Fraction(specfun._LIFT_THRESHOLD) + shift
+    assert abs(rationals[-1]) / z ** power(ks[-1]) < 2.0 ** -56 * abs(kernel(specfun._LIFT_THRESHOLD))
+
+
+def test_kernels_match_the_public_functions():
+    # Where the public functions lose few digits to cancellation, the
+    # kernels agree with their differences.
+    for x in (0.01, 0.3, 1.0, 2.5, 9.99, 10.0, 37.5):
+        assert math.isclose(specfun._lgamma_ratio(x), gamma_ratio_log(x + 0.75, x + 0.25),
+                            rel_tol=1e-13, abs_tol=1e-14)
+        assert math.isclose(specfun._digamma_diff(x), digamma(x + 0.75) - digamma(x + 0.25),
+                            rel_tol=1e-13)
+        assert math.isclose(specfun._digamma_quartet(x),
+                            digamma(x) - digamma(x + 0.5) - digamma(x + 0.25) + digamma(x + 0.75),
+                            rel_tol=1e-13, abs_tol=1e-14)
