@@ -8,16 +8,20 @@ The central quantity is
 an even function of a that stays finite at a = 0.  From it follow the
 constant int_0^inf ln(x) sech(x) dx and the two-parameter family
 int_0^inf ln(a x) sech(b x) dx.  Every product of powers and gamma
-values is evaluated as a sum of logarithms, so nothing overflows for
-moderate arguments and the identities between the forms hold to a few
-ulp.
+values is evaluated as a sum of logarithms, and delta and its
+derivative each as one expansion of their gamma-function ratio, so
+nothing overflows for any finite argument.  Against a multi-precision
+oracle each result is within about a dozen ulp of its largest term
+(each function's docstring gives its figures); near a zero of the
+result (delta at |a| = 0.8993, malmsten_c at a/b = 1.393) that bounds
+the absolute error only.
 """
 
 import math
 from dataclasses import dataclass
 
-# digamma and gamma_ratio_log are not called here, but the benchmark's
-# tracer patches all three specfun names on this module by getattr.
+# digamma and gamma_ratio_log are not called here, but bench/tracing.py
+# patches all three specfun names on this module through getattr.
 from .specfun import (_checked_real, _digamma_diff, _lgamma_ratio, digamma,
                       gamma_ratio_log, ln_gamma)
 
@@ -57,6 +61,11 @@ def delta_closed(a: float) -> float:
     Defined for every finite a, including 0, and even in a (bitwise: the
     sign is dropped before any arithmetic).  delta_closed(0.5) equals
     ln(2/pi) exactly in the limit of exact gamma values.
+
+    Measured against 40-digit mpmath values at 9,000 log-uniform |a| in
+    [1e-300, 1e300] and [1e-6, 1e6] and at the ends of the float range:
+    the absolute error stays below 2e-15 for |a| < 4, which holds the
+    zero at |a| = 0.8993, and the relative error below 8e-16 above.
     """
     return 2.0 * (_HALF_LN_2 + _lgamma_ratio(0.5 * abs(_checked_real(a, "a"))))
 
@@ -71,7 +80,10 @@ def malmsten_c(params: MalmstenParams) -> float:
     """int_0^inf ln(a x)/cosh(b x) dx for positive scales a and b.
 
     Equals (pi/b) ln( 2 sqrt(a) pi^{3/2} / (sqrt(b) Gamma(1/4)^2) ); the
-    a = b = 1 point reduces to vardi_b_constant().
+    a = b = 1 point reduces to vardi_b_constant().  Measured against
+    50-digit mpmath values at 4,000 log-uniform a in [1e-6, 1e12] and b
+    in [1e-10, 1e6], the error stays within 10 ulp of the largest of
+    the logarithms times pi/b.
     """
     return (math.pi / params.b) * (
         _LN_2
@@ -86,7 +98,9 @@ def delta_derivative(a: float) -> float:
     """Derivative of delta_closed for a > 0:
     digamma(a/2 + 3/4) - digamma(a/2 + 1/4).
 
-    Positive and strictly decreasing; equals 2 ln 2 at a = 1/2.
+    Positive and strictly decreasing; equals 2 ln 2 at a = 1/2.  Its
+    relative error, measured like delta_closed's over every positive
+    finite a, stays below 7e-16.
     """
     a = _checked_real(a, "a")
     if a <= 0.0:

@@ -76,7 +76,8 @@ _DIGAMMA_COEFFS = (
 _HALF_LN_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 # Kernel arguments below this are lifted by whole steps before the series
-# is used.
+# is used.  At 10 the three series need 8, 9 and 11 terms; a lower value
+# trades lift steps for longer series and longer coefficient literals.
 _LIFT_THRESHOLD = 10.0
 
 # The kernels' series coefficients, each rational written as int / int,
