@@ -10,6 +10,11 @@ used to fall short: the z-domain form just above a = 0.02, at both ends
 of the a range check_z_domain accepts, and malmsten_c with a small b,
 whose integrand spreads far out before it decays.  The z-domain cases at
 the ends of that range must also converge at every tolerance.
+
+The closed forms delta_closed and delta_derivative, and the digamma
+combination behind the p_integral step, are checked the same way over
+the whole range of |a| they accept, with working digits that grow with
+the cancellation in their references.
 """
 
 import math
@@ -19,8 +24,8 @@ import pytest
 
 from malmsten import proofchain
 from malmsten.closedform import MalmstenParams, delta_closed, delta_derivative
-from malmsten.specfun import _digamma_quartet
 from malmsten.quad import ToleranceSpec, integrate_finite, integrate_semi_infinite
+from malmsten.specfun import _digamma_quartet
 
 mpmath = pytest.importorskip("mpmath")
 
