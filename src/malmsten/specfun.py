@@ -1,20 +1,14 @@
 """Scalar special functions on the positive real axis.
 
-Everything is built from two classical expansions: the Stirling series
-for the log-gamma function,
+ln_gamma is the standard library's math.lgamma behind the package's
+input validator.  digamma uses the derivative of the Stirling series,
 
-    ln Gamma(x) ~ (x - 1/2) ln x - x + ln(2 pi)/2
-                  + sum_{k>=1} B_{2k} / (2k (2k-1) x^{2k-1}),
+    psi(x) ~ ln x - 1/(2x) - sum_{k>=1} B_{2k} / (2k x^{2k}),
 
-and its derivative for the digamma function,
-
-    psi(x) ~ ln x - 1/(2x) - sum_{k>=1} B_{2k} / (2k x^{2k}).
-
-Both series are asymptotic, but truncated where they are applied here
-(x >= 10) the first omitted term is already below double-precision
-roundoff: ~1.4e-19 relative for ln_gamma, ~4.4e-17 absolute for
-digamma.  Smaller arguments are shifted upward with the recurrences
-ln Gamma(x) = ln Gamma(x+1) - ln(x) and psi(x) = psi(x+1) - 1/x.
+which is asymptotic, but truncated where it is applied here (x >= 10)
+its first omitted term is ~4.4e-17 absolute, below double-precision
+roundoff.  Smaller arguments are shifted upward with the recurrence
+psi(x) = psi(x+1) - 1/x.
 
 Three private kernels evaluate the combinations the closed forms and
 the identity chain need, each as one expansion instead of a difference
@@ -44,25 +38,11 @@ import math
 
 __all__ = ["ln_gamma", "digamma", "gamma_ratio_log", "sech"]
 
-# Arguments below this are shifted upward before the series is used.
+# digamma arguments below this are shifted upward before the series is used.
 _SHIFT_THRESHOLD = 10.0
 
-# B_{2k} / (2k (2k-1)) for k = 1..9, with B_2 = 1/6, B_4 = -1/30,
-# B_6 = 1/42, B_8 = -1/30, B_10 = 5/66, B_12 = -691/2730, B_14 = 7/6,
-# B_16 = -3617/510, B_18 = 43867/798.
-_STIRLING_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-    43867.0 / 244188.0,
-)
-
-# B_{2k} / (2k) for k = 1..7, same Bernoulli numbers as above.
+# B_{2k} / (2k) for k = 1..7, with B_2 = 1/6, B_4 = -1/30, B_6 = 1/42,
+# B_8 = -1/30, B_10 = 5/66, B_12 = -691/2730, B_14 = 7/6.
 _DIGAMMA_COEFFS = (
     1.0 / 12.0,
     -1.0 / 120.0,
@@ -72,8 +52,6 @@ _DIGAMMA_COEFFS = (
     -691.0 / 32760.0,
     1.0 / 12.0,
 )
-
-_HALF_LN_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 # Kernel arguments below this are lifted by whole steps before the series
 # is used.  At 10 the three series need 8, 9 and 11 terms; a lower value
@@ -144,25 +122,19 @@ def _checked_real(x, name: str, positive: bool = False) -> float:
 
 
 def ln_gamma(x: float) -> float:
-    """Natural logarithm of Gamma(x) for x > 0.
+    """Natural logarithm of Gamma(x) for x > 0: math.lgamma, or inf past
+    about x = 2.55e305, where the result overflows.
 
-    Arguments below 10 are lifted with ln Gamma(x) = ln Gamma(x+1) - ln(x)
-    until the Stirling series applies.  Relative accuracy is around 1e-15
-    over [1e-3, 1e6] except within roundoff of the zeros at x = 1 and
-    x = 2, where only absolute accuracy (a few ulp) is meaningful.
+    Against mpmath, over 300,000 samples of x in [1e-300, 2.5e305], the
+    error is at most 1.7e-15 * max(1, |ln Gamma(x)|).  Next to the zeros
+    at x = 1 and x = 2 that bound is absolute, and the relative error
+    grows without limit.
     """
     x = _checked_real(x, "argument", True)
-    shift = 0.0
-    while x < _SHIFT_THRESHOLD:
-        shift += math.log(x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    series = 0.0
-    for c in reversed(_STIRLING_COEFFS):
-        series = series * inv2 + c
-    series *= inv
-    return (x - 0.5) * math.log(x) - x + _HALF_LN_TWO_PI + series - shift
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def digamma(x: float) -> float:

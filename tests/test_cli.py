@@ -141,9 +141,9 @@ def test_verify_ok(capsys):
 
 
 def test_verify_failure_exits_1(capsys):
-    # At the tolerance floor the quadrature residuals are larger than the
-    # demanded agreement, so the chain must report failure.
-    code, out, err = run_cli(capsys, "verify", "--grid", "1.0", "--tol", "1e-14")
+    # At t = 1e6 the sech cosine transform oscillates too fast for the DE
+    # rule to converge, so that step fails and so must the chain.
+    code, out, err = run_cli(capsys, "verify", "--grid", "1e6")
     assert code == 1
     doc = json.loads(out)
     assert doc["results"]["overall_pass"] is False

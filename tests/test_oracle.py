@@ -14,7 +14,8 @@ the ends of that range must also converge at every tolerance.
 The closed forms delta_closed and delta_derivative, and the digamma
 combination behind the p_integral step, are checked the same way over
 the whole range of |a| they accept, with working digits that grow with
-the cancellation in their references.
+the cancellation in their references.  ln_gamma is swept over the x it
+accepts, densely next to its zeros at x = 1 and 2.
 """
 
 import math
@@ -25,7 +26,7 @@ import pytest
 from malmsten import proofchain
 from malmsten.closedform import MalmstenParams, delta_closed, delta_derivative
 from malmsten.quad import ToleranceSpec, integrate_finite, integrate_semi_infinite
-from malmsten.specfun import _digamma_quartet
+from malmsten.specfun import _digamma_quartet, ln_gamma
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -170,6 +171,29 @@ def test_digamma_quartet_kernel():
         if not err <= 2e-15:
             bad.append((x, err))
     assert not bad, bad
+
+
+# Inputs where the Stirling-series ln_gamma that math.lgamma replaced was
+# 2e-15 to 5e-15 off next to a zero, past the benchmark's closed-form rule.
+LN_GAMMA_NEAR_ZERO = (2.008501017103773, 0.999586967842783, 1.0012211387983827)
+
+
+def test_ln_gamma_on_its_whole_domain():
+    # Past about 2.55e305 ln Gamma(x) overflows; the bound is absolute next
+    # to the zeros at x = 1 and 2, where no relative bound can hold.
+    rng = random.Random(2)
+    xs = _log_uniform(rng, 400, 1e-300, 2.5e305)
+    xs += [c + rng.uniform(-0.05, 0.05) for c in (1.0, 2.0) for _ in range(1000)]
+    xs += LN_GAMMA_NEAR_ZERO
+    bad = []
+    with mpmath.workdps(_DPS):
+        for x in xs:
+            ref = mpmath.loggamma(x)
+            err = float(abs(mpmath.mpf(ln_gamma(x)) - ref))
+            if not err <= 2e-15 * max(float(abs(ref)), 1.0):
+                bad.append((x, err, float(ref)))
+    assert not bad, bad
+    assert ln_gamma(1e308) == math.inf
 
 
 # At a = 1e6 the step's quadrature stops after 31 evaluations, once two
