@@ -173,18 +173,15 @@ def test_digamma_quartet_kernel():
     assert not bad, bad
 
 
-# Inputs where the Stirling-series ln_gamma that math.lgamma replaced was
-# 2e-15 to 5e-15 off next to a zero, past the benchmark's closed-form rule.
-LN_GAMMA_NEAR_ZERO = (2.008501017103773, 0.999586967842783, 1.0012211387983827)
-
-
 def test_ln_gamma_on_its_whole_domain():
     # Past about 2.55e305 ln Gamma(x) overflows; the bound is absolute next
     # to the zeros at x = 1 and 2, where no relative bound can hold.
     rng = random.Random(2)
     xs = _log_uniform(rng, 400, 1e-300, 2.5e305)
     xs += [c + rng.uniform(-0.05, 0.05) for c in (1.0, 2.0) for _ in range(1000)]
-    xs += LN_GAMMA_NEAR_ZERO
+    # Values from the benchmark's closed pools that a Stirling-series
+    # ln_gamma got 2e-15 to 5e-15 wrong, failing its closed-form rule.
+    xs += [2.008501017103773, 0.999586967842783, 1.0012211387983827]
     bad = []
     with mpmath.workdps(_DPS):
         for x in xs:
