@@ -15,6 +15,9 @@ significant digits, which round-trips losslessly through a parser.
 CSV output is RFC 4180 with a header row; for the nested verify report
 it carries one row per executed step (chain-level aggregates are a
 JSON-only affair).
+The argument parser is built once, at import, and holds no per-call
+state: argparse keeps each parse in locals and reads sys.stdout,
+sys.stderr and the terminal width only when it prints.
 """
 
 import argparse
@@ -24,7 +27,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .closedform import MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
 from .proofchain import (
@@ -146,6 +149,12 @@ def parse_csv(text: str):
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
+def _field_dict(obj) -> dict:
+    """A dataclass instance's fields in order.  Unlike dataclasses.asdict
+    it copies no value; the record only reads them."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _as_usage(fn, *args):
     """fn(*args), with a ValueError from checking user input re-raised as
     a usage error."""
@@ -205,7 +214,7 @@ def _cmd_quad(args):
     res = integrate_semi_infinite(integrand, tol)
     if not math.isfinite(res.value):
         raise QuadratureError(f"quadrature diverged (value {res.value!r})")
-    return params, asdict(res)  # QuadratureResult's fields in order
+    return params, _field_dict(res)
 
 
 def _parse_grid(text: str):
@@ -217,7 +226,8 @@ def _parse_grid(text: str):
 
 def _step_dict(step) -> dict:
     # IdentityReport's fields in order, with "passed" keyed as "pass".
-    return {("pass" if k == "passed" else k): v for k, v in asdict(step).items()}
+    return {("pass" if f.name == "passed" else f.name): getattr(step, f.name)
+            for f in fields(step)}
 
 
 def _cmd_verify(args):
@@ -225,7 +235,7 @@ def _cmd_verify(args):
     report = _as_usage(run_full_chain, grid, _checked_param(args.tol, "tol"))
     return {"grid": grid, "tol": float(args.tol)}, {
         "steps": [_step_dict(s) for s in report.steps],
-        "skipped": [asdict(s) for s in report.skipped],
+        "skipped": [_field_dict(s) for s in report.skipped],
         "overall_pass": report.overall_pass,
         "total_evaluations": report.total_evaluations,
     }
@@ -305,6 +315,8 @@ _HANDLERS = {
     "table": _cmd_table,
 }
 
+_PARSER = _build_parser()
+
 # Outcomes whose record is still written but whose command failed: the
 # result field that must be true, the exit code and the message.
 _FAILURES = {
@@ -314,9 +326,8 @@ _FAILURES = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help; normalize
         # anything else to a usage failure.

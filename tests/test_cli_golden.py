@@ -5,7 +5,9 @@ its stdout (with the timing_ms value masked) and its stderr byte for
 byte against tests/data/cli_golden.txt, one JSON object per line.  The
 file pins the exact output of every subcommand in both formats and of
 the usage errors, so a refactor of the layers below the CLI cannot
-change what a user sees without this test failing.
+change what a user sees without this test failing.  The same records
+are required of a second pass in one process (main reuses one parser)
+and of a few cases run as a real `python -m malmsten.cli` process.
 
 After an intended output change, regenerate the file with
 
@@ -14,18 +16,23 @@ After an intended output change, regenerate the file with
 and review the diff.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from malmsten import cli
 from malmsten.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
+SRC = Path(__file__).parent.parent / "src"
 
 CASES = [
     # eval and quad: every selector in both formats
@@ -90,12 +97,16 @@ CASES = [
 _TIMING = re.compile(r'"timing_ms":[^,}]+')
 
 
+def _record(argv, code, stdout, stderr):
+    return {"argv": argv, "exit": code,
+            "stdout": _TIMING.sub('"timing_ms":"*"', stdout), "stderr": stderr}
+
+
 def run_case(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    stdout = _TIMING.sub('"timing_ms":"*"', out.getvalue())
-    return {"argv": argv, "exit": code, "stdout": stdout, "stderr": err.getvalue()}
+    return _record(argv, code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +124,83 @@ def _fixed_terminal_width(monkeypatch):
 @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "<none>")
 def test_cli_output_matches_golden(golden, argv):
     assert run_case(argv) == golden[tuple(argv)]
+
+
+# An argparse usage error: its usage line is wrapped to the terminal width.
+USAGE_ERROR = ["eval", "--which", "z", "--a", "1"]
+
+
+def test_parser_is_built_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # Every subcommand in both formats, usage errors, an unknown command,
+    # no command and --help.
+    for argv in [
+        ["eval", "--which", "a", "--a", "0.5"],
+        ["eval", "--which", "a", "--a", "-3.25", "--format", "csv"],
+        ["quad", "--which", "b", "--rel-tol", "1e-10"],
+        ["quad", "--which", "c", "--a", "0.1", "--b", "0.5", "--format", "csv"],
+        ["verify", "--grid", "0.005", "--tol", "1e-6"],
+        ["verify", "--grid", "0.005", "--format", "csv"],
+        ["table", "--a-min=-1", "--a-max", "1", "--steps", "3", "--format", "json"],
+        ["table", "--a-min", "0", "--a-max", "2", "--steps", "4"],
+        ["eval"],
+        ["eval", "--which", "a"],
+        USAGE_ERROR,
+        ["table", "--a-min", "1", "--a-max", "0", "--steps", "5"],
+        ["quad", "--which", "b", "--rel-tol", "nan"],
+        ["frobnicate"],
+        [],
+        ["--help"],
+        ["eval", "--help"],
+        ["quad", "--help"],
+        ["verify", "--help"],
+        ["table", "--help"],
+    ]:
+        run_case(argv)
+    assert built == []
+
+
+def test_no_state_carries_over_between_calls(golden):
+    help_record = run_case(["--help"])
+    assert help_record["exit"] == 0 and help_record["stdout"].startswith("usage: malmsten")
+    for argv in CASES + CASES:
+        assert run_case(argv) == golden[tuple(argv)]
+        assert run_case(["--help"]) == help_record
+        assert run_case(USAGE_ERROR) == golden[tuple(USAGE_ERROR)]
+
+
+def test_usage_error_wraps_to_the_width_at_call_time(monkeypatch):
+    shown = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        fresh = io.StringIO()
+        with contextlib.redirect_stderr(fresh), pytest.raises(SystemExit):
+            cli._build_parser().parse_args(USAGE_ERROR)
+        shown[columns] = run_case(USAGE_ERROR)["stderr"]
+        assert shown[columns] == fresh.getvalue()
+    assert shown["40"] != shown["200"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--which", "b"],
+    ["quad", "--which", "c", "--a", "0.1", "--b", "0.5", "--format", "csv"],
+    USAGE_ERROR,
+], ids=" ".join)
+def test_cli_process_matches_golden(golden, argv):
+    # Bytes, not text: universal newlines would turn the CSV's CRLF into LF.
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "malmsten.cli", *argv], env=env,
+                          capture_output=True, timeout=60, check=False)
+    got = _record(argv, proc.returncode, proc.stdout.decode("utf-8"),
+                  proc.stderr.decode("utf-8"))
+    assert got == golden[tuple(argv)]
 
 
 if __name__ == "__main__":
