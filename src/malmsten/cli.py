@@ -15,6 +15,7 @@ significant digits, which round-trips losslessly through a parser.
 CSV output is RFC 4180 with a header row; for the nested verify report
 it carries one row per executed step (chain-level aggregates are a
 JSON-only affair).
+
 The argument parser is built once, at import, and holds no per-call
 state: argparse keeps each parse in locals and reads sys.stdout,
 sys.stderr and the terminal width only when it prints.
@@ -226,8 +227,7 @@ def _parse_grid(text: str):
 
 def _step_dict(step) -> dict:
     # IdentityReport's fields in order, with "passed" keyed as "pass".
-    return {("pass" if f.name == "passed" else f.name): getattr(step, f.name)
-            for f in fields(step)}
+    return {("pass" if k == "passed" else k): v for k, v in _field_dict(step).items()}
 
 
 def _cmd_verify(args):
