@@ -11,6 +11,21 @@ A failed quadrature never raises out of a check: the report comes back
 with passed=False and a diagnostic note.  Grid entries that violate a
 check's precondition are skipped and recorded as such.
 
+Each quadrature asks for what its check's own tol needs and no more:
+rel_tol and abs_tol are both 1e-2 * tol, but never below those of
+quad.DEFAULT_TOLERANCE (1e-12 and 1e-15), so at tol <= 1e-13 every
+quadrature runs exactly as with the defaults.  The quadrature stops
+once two levels agree within max(abs_tol, rel_tol * |value|), which
+matches a check's rule of abs_err <= tol or rel_err <= tol, and the
+1e-2 margin keeps its error a hundredth of what the check allows; the
+arctan_kernel side scales its integral by 4/pi, which the margin
+covers.  A looser quadrature can only make a step fail, never pass a
+wrong identity: the other side is computed independently, so a
+quadrature error could only hide a discrepancy by coinciding with it,
+and what it adds to the residual stays within that hundredth of tol.
+A quadrature that does not converge at the looser tolerance fails its
+step as before.
+
 run_full_chain looks each check up by its module-level name at call
 time, never through a reference captured at import, so replacing
 proofchain.check_<step> (a test's rigged check, a benchmark's timing
@@ -23,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .closedform import MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
-from .quad import integrate_finite, integrate_semi_infinite
+from .quad import DEFAULT_TOLERANCE, ToleranceSpec, integrate_finite, integrate_semi_infinite
 from .specfun import _checked_real, _digamma_quartet, digamma, gamma_ratio_log, sech
 
 __all__ = [
@@ -54,6 +69,7 @@ DEFAULT_TOL = 1e-8
 SMALL_A_CUTOFF = 1e-3
 
 _TOL_FLOOR = 1e-14
+_QUAD_MARGIN = 1e-2  # a check's quadratures stop at this fraction of its tol
 _MAX_SERIES_TERMS = 10 ** 7
 _LN_PI = math.log(math.pi)
 
@@ -106,6 +122,12 @@ def _checked_tol(tol) -> float:
     if bad:
         raise ValueError(f"tol must be a finite real >= {_TOL_FLOOR}, got {tol!r}")
     return tol
+
+
+def _quad_tol(tol: float) -> ToleranceSpec:
+    """The quadrature tolerance for a check at tol; see the module docstring."""
+    return ToleranceSpec(rel_tol=max(_QUAD_MARGIN * tol, DEFAULT_TOLERANCE.rel_tol),
+                         abs_tol=max(_QUAD_MARGIN * tol, DEFAULT_TOLERANCE.abs_tol))
 
 
 def _build_report(name: str, params: dict, lhs: float, rhs: float, tol: float,
@@ -226,7 +248,7 @@ def check_delta_quadrature(a: float, tol: float = DEFAULT_TOL) -> IdentityReport
     """
     a = _checked_real(a, "a")
     tol = _checked_tol(tol)
-    res = integrate_semi_infinite(delta_integrand(a))
+    res = integrate_semi_infinite(delta_integrand(a), _quad_tol(tol))
     return _build_report("delta_quadrature", {"a": a}, res.value, delta_closed(a),
                          tol, res.evaluations, res.converged)
 
@@ -245,7 +267,7 @@ def check_arctan_kernel(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     if a * a < sys.float_info.min:
         raise ValueError(f"a*a must not underflow the normal float range, got a = {a!r}")
     tol = _checked_tol(tol)
-    res = integrate_semi_infinite(_arctan_kernel_integrand(a))
+    res = integrate_semi_infinite(_arctan_kernel_integrand(a), _quad_tol(tol))
     lhs = delta_closed(a) - math.log(abs(a))
     rhs = (4.0 / math.pi) * res.value
     return _build_report("arctan_kernel", {"a": a}, lhs, rhs,
@@ -261,7 +283,7 @@ def check_sech_cosine_transform(t: float, tol: float = DEFAULT_TOL) -> IdentityR
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
     tol = _checked_tol(tol)
-    res = integrate_semi_infinite(_cosine_integrand(t))
+    res = integrate_semi_infinite(_cosine_integrand(t), _quad_tol(tol))
     rhs = 0.5 * sech(0.5 * t)
     return _build_report("sech_cosine_transform", {"t": t}, res.value, rhs,
                          tol, res.evaluations, res.converged)
@@ -279,7 +301,7 @@ def check_t_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     if abs(a) <= SMALL_A_CUTOFF:
         raise ValueError(f"|a| must exceed {SMALL_A_CUTOFF}, got {a!r}")
     tol = _checked_tol(tol)
-    res = integrate_semi_infinite(_t_domain_integrand(a))
+    res = integrate_semi_infinite(_t_domain_integrand(a), _quad_tol(tol))
     lhs = delta_closed(a) - math.log(abs(a))
     return _build_report("t_domain", {"a": a}, lhs, res.value,
                          tol, res.evaluations, res.converged)
@@ -304,7 +326,7 @@ def check_z_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     if a <= SMALL_A_CUTOFF:
         raise ValueError(f"a must exceed {SMALL_A_CUTOFF}, got {a!r}")
     tol = _checked_tol(tol)
-    res = integrate_finite(_z_domain_integrand(a), 0.0, 1.0)
+    res = integrate_finite(_z_domain_integrand(a), 0.0, 1.0, _quad_tol(tol))
     lhs = delta_closed(a) - math.log(a)
     return _build_report("z_domain", {"a": a}, lhs, res.value,
                          tol, res.evaluations, res.converged)
@@ -380,7 +402,7 @@ def check_p_integral(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     if a <= 0.0:
         raise ValueError(f"a must be positive, got {a!r}")
     tol = _checked_tol(tol)
-    res = integrate_finite(_p_integrand(a), 0.0, 1.0)
+    res = integrate_finite(_p_integrand(a), 0.0, 1.0, _quad_tol(tol))
 
     def bracket(p: float) -> float:
         lo = 0.5 * a + 0.25 * p
@@ -406,8 +428,9 @@ def check_b_reduction(tol: float = DEFAULT_TOL) -> IdentityReport:
     note field lists all three residuals.
     """
     tol = _checked_tol(tol)
-    r1 = integrate_semi_infinite(vardi_b_integrand())
-    r2 = integrate_semi_infinite(sech)
+    qtol = _quad_tol(tol)
+    r1 = integrate_semi_infinite(vardi_b_integrand(), qtol)
+    r2 = integrate_semi_infinite(sech, qtol)
     target = vardi_b_constant()
     assembled = math.pi * (0.5 * delta_closed(0.0)) + 0.5 * math.pi * _LN_PI
     subs = [
@@ -429,7 +452,7 @@ def check_c_quadrature(params: MalmstenParams,
                        tol: float = DEFAULT_TOL) -> IdentityReport:
     """Quadrature of ln(a x)/cosh(b x) against malmsten_c(params)."""
     tol = _checked_tol(tol)
-    res = integrate_semi_infinite(malmsten_c_integrand(params))
+    res = integrate_semi_infinite(malmsten_c_integrand(params), _quad_tol(tol))
     return _build_report("c_quadrature", {"a": params.a, "b": params.b},
                          res.value, malmsten_c(params),
                          tol, res.evaluations, res.converged)

@@ -193,9 +193,11 @@ def test_ln_gamma_on_its_whole_domain():
     assert ln_gamma(1e308) == math.inf
 
 
-# At a = 1e6 the step's quadrature stops after 31 evaluations, once two
-# levels agree within its default abs_tol of 1e-15; with the integrand
-# evaluated exactly it returns the same value, 3.7e-14 relative off.
+# At tol 1e-14 the step's quadrature runs at quad.DEFAULT_TOLERANCE, so
+# these bounds measure the Q kernel, not a tolerance derived from a looser
+# tol.  At a = 1e6 that quadrature stops after 31 evaluations, once two
+# levels agree within its abs_tol of 1e-15; with the integrand evaluated
+# exactly it returns the same value, 3.7e-14 relative off.
 @pytest.mark.parametrize("a, rel", [(1.0, 1e-14), (100.0, 1e-14), (1e4, 1e-14), (1e6, 1e-13)])
 def test_p_integral_quadrature_side(a, rel):
     with mpmath.workdps(_digits(a)):
@@ -207,5 +209,5 @@ def test_p_integral_quadrature_side(a, rel):
                     + mpmath.loggamma(y + 0.5) - mpmath.loggamma(y))
 
         ref = bracket(0) - bracket(1)
-        err = float(abs((mpmath.mpf(proofchain.check_p_integral(a).lhs) - ref) / ref))
+        err = float(abs((mpmath.mpf(proofchain.check_p_integral(a, tol=1e-14).lhs) - ref) / ref))
     assert err <= rel
