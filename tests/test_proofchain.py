@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+import malmsten.proofchain as pc
 from malmsten.closedform import MalmstenParams, delta_closed, vardi_b_constant
 from malmsten.proofchain import (
     DEFAULT_TOL,
@@ -28,6 +29,12 @@ from malmsten.proofchain import (
     delta_integrand,
     run_full_chain,
 )
+from malmsten.quad import DEFAULT_TOLERANCE, ToleranceSpec
+
+A05_GRID = [0.25, 0.5, 1.0, 2.0, 4.0]
+# The A05 grid plus a negative point, zero, a point just above the
+# domain steps' cutoff and a large one.
+WIDE_GRID = A05_GRID + [-3.0, 0.0, 0.005, 60.0]
 
 # Frozen from a 30-digit run: (mu, (digamma((mu+1)/2) - digamma(mu/2)) / 2).
 ALT_SERIES_ORACLE = [
@@ -353,3 +360,79 @@ def test_full_chain_validation():
 def test_delta_integrand_validates_a(bad):
     with pytest.raises(ValueError, match=r"^a must be a finite real, got "):
         delta_integrand(bad)
+
+
+# Every check that integrates, with arguments inside its domain: nine
+# quadrature calls in all, two of them from b_reduction.
+_QUADRATURE_CHECKS = [
+    (check_delta_quadrature, (0.5,)),
+    (check_arctan_kernel, (0.5,)),
+    (check_sech_cosine_transform, (0.5,)),
+    (check_t_domain, (0.5,)),
+    (check_z_domain, (0.5,)),
+    (check_p_integral, (0.5,)),
+    (check_b_reduction, ()),
+    (check_c_quadrature, (MalmstenParams(0.5, 0.5),)),
+]
+
+
+def _wrap_quadrature(monkeypatch, wrap):
+    """Replace both engines in proofchain by wrap(real, f, args, tol), where
+    tol is the ToleranceSpec the check passed, or None if it passed none."""
+    for name in ("integrate_semi_infinite", "integrate_finite"):
+        real = getattr(pc, name)
+
+        def wrapper(f, *args, real=real):
+            if args and isinstance(args[-1], ToleranceSpec):
+                return wrap(real, f, args[:-1], args[-1])
+            return wrap(real, f, args, None)
+
+        monkeypatch.setattr(pc, name, wrapper)
+
+
+@pytest.mark.parametrize("tol, rel_tol, abs_tol", [
+    (1e-8, 1e-10, 1e-10),
+    (1e-14, DEFAULT_TOLERANCE.rel_tol, DEFAULT_TOLERANCE.abs_tol),
+])
+def test_quadrature_tolerance_follows_the_check(monkeypatch, tol, rel_tol, abs_tol):
+    seen = []
+
+    def spy(real, f, args, qtol):
+        seen.append(qtol or DEFAULT_TOLERANCE)
+        return real(f, *args, *([qtol] if qtol else []))
+
+    _wrap_quadrature(monkeypatch, spy)
+    for check, args in _QUADRATURE_CHECKS:
+        check(*args, tol=tol)
+    assert len(seen) == 9
+    for qtol in seen:
+        assert (qtol.rel_tol, qtol.abs_tol) == (rel_tol, abs_tol)
+        assert qtol.max_level == DEFAULT_TOLERANCE.max_level
+
+
+def test_tightest_tol_runs_the_default_quadrature(monkeypatch):
+    derived = repr(run_full_chain(WIDE_GRID, tol=1e-14))
+    _wrap_quadrature(monkeypatch, lambda real, f, args, qtol: real(f, *args, DEFAULT_TOLERANCE))
+    assert derived == repr(run_full_chain(WIDE_GRID, tol=1e-14))
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10])
+def test_derived_quadrature_tolerance_keeps_every_step(tol):
+    # The quadratures stop at 1e-2 * tol; the worst residual here is
+    # 4.4e-8 (arctan_kernel at a = 60, tol 1e-4), so tol/10 leaves room
+    # and still sees a slip.
+    report = run_full_chain(WIDE_GRID, tol=tol)
+    assert report.overall_pass
+    for step in report.steps:
+        assert step.passed
+        if step.name != "alt_series_digamma":
+            assert min(step.abs_err, step.rel_err) <= tol / 10, step
+        _assert_report_consistent(step)
+
+
+@pytest.mark.parametrize("tol, evaluations", [(1e-8, 4933), (1e-14, 13916)])
+def test_a05_evaluation_count(tol, evaluations):
+    # Integrand evaluations are deterministic, so they pin what the
+    # derived quadrature tolerance saves: 6,216 at tol 1e-8 when every
+    # quadrature ran at DEFAULT_TOLERANCE.
+    assert run_full_chain(A05_GRID, tol=tol).total_evaluations == evaluations
