@@ -377,15 +377,15 @@ _QUADRATURE_CHECKS = [
 
 
 def _wrap_quadrature(monkeypatch, wrap):
-    """Replace both engines in proofchain by wrap(real, f, args, tol), where
-    tol is the ToleranceSpec the check passed, or None if it passed none."""
+    """Replace both engines in proofchain by wrap(real, f, bounds, tol), where
+    tol is the ToleranceSpec the check passed, DEFAULT_TOLERANCE if none."""
     for name in ("integrate_semi_infinite", "integrate_finite"):
         real = getattr(pc, name)
 
         def wrapper(f, *args, real=real):
             if args and isinstance(args[-1], ToleranceSpec):
                 return wrap(real, f, args[:-1], args[-1])
-            return wrap(real, f, args, None)
+            return wrap(real, f, args, DEFAULT_TOLERANCE)
 
         monkeypatch.setattr(pc, name, wrapper)
 
@@ -397,9 +397,9 @@ def _wrap_quadrature(monkeypatch, wrap):
 def test_quadrature_tolerance_follows_the_check(monkeypatch, tol, rel_tol, abs_tol):
     seen = []
 
-    def spy(real, f, args, qtol):
-        seen.append(qtol or DEFAULT_TOLERANCE)
-        return real(f, *args, *([qtol] if qtol else []))
+    def spy(real, f, bounds, qtol):
+        seen.append(qtol)
+        return real(f, *bounds, qtol)
 
     _wrap_quadrature(monkeypatch, spy)
     for check, args in _QUADRATURE_CHECKS:
@@ -412,7 +412,7 @@ def test_quadrature_tolerance_follows_the_check(monkeypatch, tol, rel_tol, abs_t
 
 def test_tightest_tol_runs_the_default_quadrature(monkeypatch):
     derived = repr(run_full_chain(WIDE_GRID, tol=1e-14))
-    _wrap_quadrature(monkeypatch, lambda real, f, args, qtol: real(f, *args, DEFAULT_TOLERANCE))
+    _wrap_quadrature(monkeypatch, lambda real, f, bounds, qtol: real(f, *bounds, DEFAULT_TOLERANCE))
     assert derived == repr(run_full_chain(WIDE_GRID, tol=1e-14))
 
 
