@@ -11,20 +11,20 @@ A failed quadrature never raises out of a check: the report comes back
 with passed=False and a diagnostic note.  Grid entries that violate a
 check's precondition are skipped and recorded as such.
 
-Each quadrature asks for what its check's own tol needs and no more:
-rel_tol and abs_tol are both 1e-2 * tol, but never below those of
-quad.DEFAULT_TOLERANCE (1e-12 and 1e-15), so at tol <= 1e-13 every
-quadrature runs exactly as with the defaults.  The quadrature stops
-once two levels agree within max(abs_tol, rel_tol * |value|), which
-matches a check's rule of abs_err <= tol or rel_err <= tol, and the
-1e-2 margin keeps its error a hundredth of what the check allows; the
-arctan_kernel side scales its integral by 4/pi, which the margin
+Each quadrature asks for what its check's tol needs: rel_tol and
+abs_tol are both 1e-2 * tol, never below those of quad.DEFAULT_TOLERANCE
+(1e-12 and 1e-15), so at tol <= 1e-13 every quadrature runs exactly as
+with the defaults.  The engine stops once two levels agree within
+max(abs_tol, rel_tol * |value|), the same either-or shape as a check's
+abs_err <= tol or rel_err <= tol, so the 1e-2 margin leaves the
+quadrature a hundredth of the residual the check allows; the
+arctan_kernel side multiplies its integral by 4/pi, which the margin
 covers.  A looser quadrature can only make a step fail, never pass a
 wrong identity: the other side is computed independently, so a
-quadrature error could only hide a discrepancy by coinciding with it,
-and what it adds to the residual stays within that hundredth of tol.
-A quadrature that does not converge at the looser tolerance fails its
-step as before.
+quadrature error hides a discrepancy only by happening to cancel it,
+and while its level difference is honest it moves the residual by at
+most about that hundredth of tol.  A quadrature that does not converge
+at the looser tolerance fails its step, as before.
 
 run_full_chain looks each check up by its module-level name at call
 time, never through a reference captured at import, so replacing
