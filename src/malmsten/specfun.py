@@ -104,9 +104,9 @@ _DIGAMMA_QUARTET_COEFFS = (
 )
 
 
-def _checked_real(x, name: str, positive: bool = False) -> float:
-    """float(x), or a ValueError naming it unless it is finite (and > 0
-    when positive is set); a value float() rejects gets the same
+def _checked_real(x, name: str, positive: bool = False, floor: float = -math.inf) -> float:
+    """float(x), or a ValueError naming it unless it is finite, > 0 when
+    positive is set and >= floor; a value float() rejects gets the same
     ValueError.  The package's one input validator; ln_gamma and digamma
     call it on every evaluation."""
     try:
@@ -114,9 +114,10 @@ def _checked_real(x, name: str, positive: bool = False) -> float:
     except (TypeError, ValueError, OverflowError):
         bad = True
     else:
-        bad = not math.isfinite(x) or (positive and x <= 0.0)
+        bad = not math.isfinite(x) or (positive and x <= 0.0) or x < floor
     if bad:
-        kind = "a positive finite real" if positive else "a finite real"
+        kind = ("a positive finite real" if positive
+                else f"a finite real >= {floor}" if floor > -math.inf else "a finite real")
         raise ValueError(f"{name} must be {kind}, got {x!r}")
     return x
 
