@@ -32,12 +32,13 @@ from dataclasses import dataclass, fields
 
 from .closedform import MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
 from .proofchain import (
+    DEFAULT_TOL,
     delta_integrand,
     malmsten_c_integrand,
     run_full_chain,
     vardi_b_integrand,
 )
-from .quad import QuadratureError, ToleranceSpec, integrate_semi_infinite
+from .quad import DEFAULT_TOLERANCE, QuadratureError, ToleranceSpec, integrate_semi_infinite
 from .specfun import _checked_real
 
 __all__ = ["OutputRecord", "render_json", "render_csv", "parse_json", "parse_csv", "main"]
@@ -290,13 +291,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pq = sub.add_parser("quad", help="the same integrals by quadrature")
     add_which(pq)
-    pq.add_argument("--rel-tol", type=float, default=1e-12, dest="rel_tol")
+    pq.add_argument("--rel-tol", type=float, default=DEFAULT_TOLERANCE.rel_tol, dest="rel_tol")
     pq.add_argument("--format", choices=("json", "csv"), default="json")
 
     pv = sub.add_parser("verify", help="run the identity chain over a grid")
     pv.add_argument("--grid", required=True,
                     help="comma-separated a values, e.g. 0.25,0.5,1")
-    pv.add_argument("--tol", type=float, default=1e-8)
+    pv.add_argument("--tol", type=float, default=DEFAULT_TOL)
     pv.add_argument("--format", choices=("json", "csv"), default="json")
 
     pt = sub.add_parser("table", help="closed form vs quadrature on a grid")
