@@ -25,11 +25,13 @@ eps * (the level's sum of |w*f|), because past that node the terms are
 below roundoff.  A side whose own level-0 terms are all 0, or any side
 when that sum is not finite, is not trimmed, and a side whose outermost
 level-0 node is itself significant has nothing to trim.  A call that
-trims neither side evaluates and sums every node of the tables, in
-table order.  On the benchmark's quad inputs trimming halves the
-integrand calls.  One consequence: f is never called at later-level
-nodes beyond a side's limit, so a NaN that only such nodes would meet
-goes unseen.  A NaN at any level-0 node still raises.
+trims neither side evaluates every node of the tables.  A level sums
+its center node (level 0 only), then the two sides in pairs outward,
+right before left and up before down, then the rest of the longer side.
+On the benchmark's quad inputs trimming halves the integrand calls.
+One consequence: f is never called at later-level nodes beyond a
+side's limit, so a NaN that only such nodes would meet goes unseen.
+A NaN at any level-0 node still raises.
 
 A converged result reports as error_estimate the largest of
 
