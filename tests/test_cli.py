@@ -54,6 +54,7 @@ def test_eval_c(capsys):
         ["eval", "--which", "a", "--a", "inf"],
         ["eval", "--which", "z", "--a", "1.0"],            # unknown selector
         ["eval"],                                          # no selector at all
+        ["eval", "--which", "a", "--a", "1", "--b", "2"],  # extraneous --b
     ],
 )
 def test_eval_usage_errors(capsys, argv):

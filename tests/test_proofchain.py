@@ -155,6 +155,17 @@ def test_alt_series_known_constants():
     assert abs(rep2.lhs - 0.5 * math.pi) <= 1e-10
 
 
+def test_alt_series_stops_within_its_bound():
+    # tol >= 1e-14 puts the remainder target at >= 1e-15, which c >= 1,642
+    # meets.  Below mu of about 2e-308 digamma(mu/2) overflows, and at
+    # 5e-324 mu/2 rounds to 0, so there the sweep reads the sum itself.
+    sweep = [5e-324, 1e-310] + [10.0 ** k for k in range(-300, 301, 20)] + [1641.0, 1642.0]
+    terms = [pc._alternating_pair_sum(mu, 1e-14)[1] for mu in sweep]
+    assert max(terms) == terms[0] == 1642
+    for mu in sweep[2:]:
+        assert check_alt_series_digamma(mu, tol=1e-14).evaluations <= 1642
+
+
 def test_alt_series_rejects_bad_mu():
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
@@ -197,6 +208,27 @@ def test_b_reduction_reports_the_failing_sub_identity(monkeypatch):
     assert rep.rhs == 0.5 * math.pi
     assert rep.note.startswith("worst sub-identity: sech_normalization;")
     _assert_report_consistent(rep)
+
+
+def test_b_reduction_reports_non_convergence(monkeypatch):
+    from malmsten.specfun import sech
+
+    real = pc.integrate_semi_infinite
+    evaluations = []
+
+    def stalled(f, *args):
+        res = real(f, *args)
+        evaluations.append(res.evaluations)
+        if f is sech:  # the normalization's quadrature gives up
+            res = dataclasses.replace(res, converged=False)
+        return res
+
+    monkeypatch.setattr(pc, "integrate_semi_infinite", stalled)
+    rep = pc.check_b_reduction()
+    assert not rep.passed
+    assert rep.note.endswith("; quadrature did not converge")
+    assert len(evaluations) == 2
+    assert rep.evaluations == sum(evaluations)
 
 
 def test_c_quadrature():

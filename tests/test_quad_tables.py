@@ -302,6 +302,23 @@ def test_nan_message_matches_reference(cut):
         assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("cut", [0.3, 1e-3, 1e-12])
+def test_nan_below_cut_message_matches_reference(cut):
+    # A NaN below the cut is met first on tanh-sinh's left side and on
+    # exp-sinh's down side, which test_nan_message_matches_reference,
+    # whose NaN lies above its cut, never reaches.
+    def f(x):
+        return float("nan") if x < cut else math.exp(-x)
+
+    for engine, reference, args in ((integrate_finite, reference_finite, (0.0, 1.0)),
+                                    (integrate_semi_infinite, reference_semi_infinite, ())):
+        with pytest.raises(QuadratureError) as expected:
+            reference(f, *args)
+        with pytest.raises(QuadratureError) as got:
+            engine(f, *args)
+        assert str(got.value) == str(expected.value)
+
+
 def _level0_exp_sinh_abscissae():
     nodes = {1.0}
     for k in range(1, 7):
