@@ -131,8 +131,8 @@ def _quadrature_check(name: str, params: dict, integrand: Callable[[float], floa
     """Report scale * the integral of integrand over interval ((0, inf)
     when None) against closed, which is the lhs when closed_first is set."""
     tol = _checked_real(tol, "tol", floor=_TOL_FLOOR)
-    qtol = ToleranceSpec(max(_QUAD_MARGIN * tol, DEFAULT_TOLERANCE.rel_tol),
-                         max(_QUAD_MARGIN * tol, DEFAULT_TOLERANCE.abs_tol))
+    qtol = ToleranceSpec(rel_tol=max(_QUAD_MARGIN * tol, DEFAULT_TOLERANCE.rel_tol),
+                         abs_tol=max(_QUAD_MARGIN * tol, DEFAULT_TOLERANCE.abs_tol))
     if interval is None:
         res = integrate_semi_infinite(integrand, qtol)
     else:

@@ -105,16 +105,17 @@ _DIGAMMA_QUARTET_COEFFS = (
 
 
 def _checked_real(x, name: str, positive: bool = False, floor: float = -math.inf) -> float:
-    """float(x), or a ValueError naming it unless it is finite, > 0 when
-    positive is set and >= floor; a value float() rejects gets the same
-    ValueError.  The package's one input validator; ln_gamma and digamma
-    call it on every evaluation."""
+    """float(x), or a ValueError naming it unless it is finite and > 0
+    when positive is set, >= floor otherwise; a value float() rejects
+    gets the same ValueError.  The package's one input validator; ln_gamma
+    and digamma call it on every evaluation, which is why a positive check
+    skips the floor test."""
     try:
         x = float(x)
     except (TypeError, ValueError, OverflowError):
         bad = True
     else:
-        bad = not math.isfinite(x) or (positive and x <= 0.0) or x < floor
+        bad = not math.isfinite(x) or (x <= 0.0 if positive else x < floor)
     if bad:
         kind = ("a positive finite real" if positive
                 else f"a finite real >= {floor}" if floor > -math.inf else "a finite real")
