@@ -18,14 +18,13 @@ rel_tol and abs_tol are both 1e-2 * tol, never below quad.DEFAULT_TOLERANCE's
 with the defaults.  The engine stops once two levels agree within
 max(abs_tol, rel_tol * |value|), the same either-or shape as a check's
 abs_err <= tol or rel_err <= tol, so the 1e-2 margin leaves the
-quadrature a hundredth of the residual the check allows; the
-arctan_kernel side multiplies its integral by 4/pi, which the margin
-covers.  A looser quadrature can only make a step fail, never pass a
-wrong identity: the other side is computed independently, so a
-quadrature error hides a discrepancy only by happening to cancel it,
-and while its level difference is honest it moves the residual by at
-most about that hundredth of tol.  A quadrature that does not converge
-at the looser tolerance fails its step, as before.
+quadrature a hundredth of the residual the check allows.  A looser
+quadrature can only make a step fail, never pass a wrong identity: the
+other side is computed independently, so a quadrature error hides a
+discrepancy only by happening to cancel it, and while its level
+difference is honest it moves the residual by at most about that
+hundredth of tol.  A quadrature that does not converge at the looser
+tolerance fails its step, as before.
 
 run_full_chain looks each check up by its module-level name at call
 time, never through a reference captured at import, and
@@ -41,6 +40,7 @@ from typing import Callable, Sequence
 
 from .closedform import _LN_PI, MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
 from .quad import DEFAULT_TOLERANCE, ToleranceSpec, integrate_finite, integrate_semi_infinite
+# gamma_ratio_log is not called here; bench/tracing.py patches it on this module.
 from .specfun import _checked_real, _digamma_quartet, digamma, gamma_ratio_log, sech
 
 __all__ = [
@@ -78,11 +78,13 @@ _QUAD_MARGIN = 1e-2  # a check's quadratures stop at this fraction of its tol
 class IdentityReport:
     """Outcome of one identity check.
 
-    abs_err is exactly abs(lhs - rhs); rel_err is abs_err scaled by the
-    larger magnitude of the two sides (zero when both sides vanish).
-    passed requires abs_err <= tol or rel_err <= tol, and additionally
-    that every quadrature involved converged; a non-converged check is
-    never reported as passing, whatever the residual happens to be.
+    lhs is the side the check computes, a quadrature or a directly
+    summed series, and rhs is its closed form.  abs_err is exactly
+    abs(lhs - rhs); rel_err is abs_err scaled by the larger magnitude of
+    the two sides (zero when both sides vanish).  passed requires
+    abs_err <= tol or rel_err <= tol, and additionally that every
+    quadrature involved converged; a non-converged check is never
+    reported as passing, whatever the residual happens to be.
     """
 
     name: str
@@ -126,10 +128,9 @@ def _build_report(name: str, params: dict, lhs: float, rhs: float, tol: float,
 
 
 def _quadrature_check(name: str, params: dict, integrand: Callable[[float], float],
-                      closed: float, tol, interval: tuple | None = None, *,
-                      closed_first: bool = False, scale: float = 1.0) -> IdentityReport:
-    """Report scale * the integral of integrand over interval ((0, inf)
-    when None) against closed, which is the lhs when closed_first is set."""
+                      closed: float, tol, interval: tuple | None = None) -> IdentityReport:
+    """Report the integral of integrand over interval ((0, inf) when
+    None) as the lhs against closed as the rhs."""
     tol = _checked_real(tol, "tol", floor=_TOL_FLOOR)
     qtol = ToleranceSpec(rel_tol=max(_QUAD_MARGIN * tol, DEFAULT_TOLERANCE.rel_tol),
                          abs_tol=max(_QUAD_MARGIN * tol, DEFAULT_TOLERANCE.abs_tol))
@@ -137,9 +138,12 @@ def _quadrature_check(name: str, params: dict, integrand: Callable[[float], floa
         res = integrate_semi_infinite(integrand, qtol)
     else:
         res = integrate_finite(integrand, *interval, qtol)
-    quad = scale * res.value
-    lhs, rhs = (closed, quad) if closed_first else (quad, closed)
-    return _build_report(name, params, lhs, rhs, tol, res.evaluations, res.converged)
+    return _build_report(name, params, res.value, closed, tol, res.evaluations, res.converged)
+
+
+def _delta_excess(a: float) -> float:
+    """delta(a) - ln|a|, the closed side of the four routes that reach it."""
+    return delta_closed(a) - math.log(abs(a))
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +229,8 @@ def check_delta_quadrature(a: float, tol: float = DEFAULT_TOL) -> IdentityReport
 
 
 def check_arctan_kernel(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
-    """delta_closed(a) - ln|a| against (4/pi) int_0^inf
-    x arctan(e^{-pi x}) / (x^2 + a^2) dx, the integrated-by-parts form.
+    """(4/pi) int_0^inf x arctan(e^{-pi x}) / (x^2 + a^2) dx, the
+    integrated-by-parts form, against delta(a) - ln|a|.
 
     Requires a != 0 (the ln|a| split is singular there) and a*a at least
     the smallest normal float, below which the kernel's denominator
@@ -238,9 +242,9 @@ def check_arctan_kernel(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     if a * a < sys.float_info.min:
         raise ValueError(f"a*a must not underflow the normal float range, got a = {a!r}")
     return _quadrature_check("arctan_kernel", {"a": a},
-                             lambda x: x * math.atan(math.exp(-math.pi * x)) / (x * x + a * a),
-                             delta_closed(a) - math.log(abs(a)), tol,
-                             closed_first=True, scale=4.0 / math.pi)
+                             lambda x: 4.0 / math.pi * x * math.atan(math.exp(-math.pi * x))
+                             / (x * x + a * a),
+                             _delta_excess(a), tol)
 
 
 def check_sech_cosine_transform(t: float, tol: float = DEFAULT_TOL) -> IdentityReport:
@@ -257,9 +261,8 @@ def check_sech_cosine_transform(t: float, tol: float = DEFAULT_TOL) -> IdentityR
 
 
 def check_t_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
-    """delta_closed(a) - ln|a| against int_0^inf e^{-|a| t}
-    (1 - sech(t/2)) / t dt, whose integrand is completed by its limit 0
-    at t = 0.
+    """int_0^inf e^{-|a| t} (1 - sech(t/2)) / t dt, whose integrand is
+    completed by its limit 0 at t = 0, against delta(a) - ln|a|.
 
     Requires |a| > SMALL_A_CUTOFF; below that the integrand decays too
     slowly for the quadrature to be trusted.
@@ -268,12 +271,12 @@ def check_t_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     if abs(a) <= SMALL_A_CUTOFF:
         raise ValueError(f"|a| must exceed {SMALL_A_CUTOFF}, got {a!r}")
     return _quadrature_check("t_domain", {"a": a}, _t_domain_integrand(a),
-                             delta_closed(a) - math.log(abs(a)), tol, closed_first=True)
+                             _delta_excess(a), tol)
 
 
 def check_z_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
-    """delta_closed(a) - ln(a) against - int_0^1 z^{2a-1} (1-z)^2 /
-    ((1+z^2) ln z) dz, the substitution z = e^{-t} of the t-domain form.
+    """- int_0^1 z^{2a-1} (1-z)^2 / ((1+z^2) ln z) dz, the substitution
+    z = e^{-t} of the t-domain form, against delta(a) - ln|a|.
 
     The quadrature runs in u = z^{2a} = e^{-2at}, where the integral is
     - int_0^1 (1-z)^2 / ((1+z^2) ln u) du, completed by its limit 0 at
@@ -290,7 +293,7 @@ def check_z_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     if a <= SMALL_A_CUTOFF:
         raise ValueError(f"a must exceed {SMALL_A_CUTOFF}, got {a!r}")
     return _quadrature_check("z_domain", {"a": a}, _z_domain_integrand(a),
-                             delta_closed(a) - math.log(a), tol, (0.0, 1.0), closed_first=True)
+                             _delta_excess(a), tol, (0.0, 1.0))
 
 
 def _alternating_pair_sum(mu: float, tol: float):
@@ -354,21 +357,16 @@ def check_p_integral(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
         -(1/4) int_0^1 ( psi((2a+p)/4) - psi((2a+p)/4 + 1/2)
                          - psi((2a+p+1)/4) + psi((2a+p+1)/4 + 1/2) ) dp
 
-    against the same bracket of log-gamma values at p = 1 minus p = 0,
-    assembled from gamma_ratio_log.  Requires a > 0.
+    against delta(a) - ln a.  With s = a/2 it telescopes to lnG(s) +
+    2 lnG(s+3/4) - 2 lnG(s+1/4) - lnG(s+1), which is 2 lnG(s+3/4) -
+    2 lnG(s+1/4) - ln s = delta(a) - ln a.  Requires a > 0.
     """
     a = _checked_real(a, "a")
     if a <= 0.0:
         raise ValueError(f"a must be positive, got {a!r}")
-
-    def bracket(p: float) -> float:
-        lo = 0.5 * a + 0.25 * p
-        hi = lo + 0.25
-        return gamma_ratio_log(lo, lo + 0.5) + gamma_ratio_log(hi + 0.5, hi)
-
     return _quadrature_check("p_integral", {"a": a},
                              lambda p: -0.25 * _digamma_quartet(0.5 * a + 0.25 * p),
-                             bracket(0.0) - bracket(1.0), tol, (0.0, 1.0))
+                             _delta_excess(a), tol, (0.0, 1.0))
 
 
 def check_b_reduction(tol: float = DEFAULT_TOL) -> IdentityReport:
