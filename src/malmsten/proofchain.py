@@ -336,15 +336,16 @@ def _alternating_pair_sum(mu: float, tol: float):
 
 def check_alt_series_digamma(mu: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     """sum_{k>=0} (-1)^k/(k+mu) against (1/2)(digamma((mu+1)/2) -
-    digamma(mu/2)) for mu > 0.
+    digamma(mu/2)).
 
     The series side is summed directly by consecutive-term pairing with
     a tail completion whose error bound falls below tol/10 within 1,642
-    terms.
+    terms.  Requires mu at least the smallest normal float, below which
+    1/(mu/2) in digamma(mu/2) overflows.
     """
     mu = _checked_real(mu, "mu")
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
+    if mu < sys.float_info.min:
+        raise ValueError(f"mu must be a positive normal float, got {mu!r}")
     tol = _checked_real(tol, "tol", floor=_TOL_FLOOR)
     lhs, terms = _alternating_pair_sum(mu, tol)
     rhs = 0.5 * (digamma(0.5 * (mu + 1.0)) - digamma(0.5 * mu))
