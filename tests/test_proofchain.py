@@ -8,6 +8,7 @@ cleanly, and the intermediate routes all agree with each other.
 
 import dataclasses
 import math
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from malmsten.proofchain import (
     DEFAULT_TOL,
     ChainReport,
     IdentityReport,
+    SkippedStep,
     check_alt_series_digamma,
     check_arctan_kernel,
     check_b_reduction,
@@ -32,6 +34,8 @@ from malmsten.proofchain import (
 from malmsten.quad import DEFAULT_TOLERANCE, ToleranceSpec
 
 A05_GRID = [0.25, 0.5, 1.0, 2.0, 4.0]
+# The four routes to delta(a) - ln a.
+ROUTES = [check_arctan_kernel, check_t_domain, check_z_domain, check_p_integral]
 # The A05 grid plus a negative point, zero, a point just above the
 # domain steps' cutoff and a large one.
 WIDE_GRID = A05_GRID + [-3.0, 0.0, 0.005, 60.0]
@@ -69,7 +73,7 @@ def test_delta_quadrature(a):
 def test_arctan_kernel(a):
     rep = check_arctan_kernel(a)
     assert rep.passed
-    assert math.isclose(rep.lhs, delta_closed(a) - math.log(a), rel_tol=1e-13, abs_tol=1e-15)
+    assert math.isclose(rep.rhs, delta_closed(a) - math.log(a), rel_tol=1e-13, abs_tol=1e-15)
     _assert_report_consistent(rep)
 
 
@@ -100,7 +104,7 @@ def test_sech_cosine_rejects_negative():
 def test_t_domain_half():
     rep = check_t_domain(0.5)
     assert rep.passed
-    assert math.isclose(rep.lhs, math.log(4.0 / math.pi), rel_tol=1e-13)
+    assert math.isclose(rep.rhs, math.log(4.0 / math.pi), rel_tol=1e-13)
 
 
 def test_z_domain_half():
@@ -157,8 +161,8 @@ def test_alt_series_known_constants():
 
 def test_alt_series_stops_within_its_bound():
     # tol >= 1e-14 puts the remainder target at >= 1e-15, which c >= 1,642
-    # meets.  Below mu of about 2e-308 digamma(mu/2) overflows, and at
-    # 5e-324 mu/2 rounds to 0, so there the sweep reads the sum itself.
+    # meets.  The check rejects mu below the smallest normal float, so
+    # there the sweep reads the sum itself.
     sweep = [5e-324, 1e-310] + [10.0 ** k for k in range(-300, 301, 20)] + [1641.0, 1642.0]
     terms = [pc._alternating_pair_sum(mu, 1e-14)[1] for mu in sweep]
     assert max(terms) == terms[0] == 1642
@@ -172,11 +176,30 @@ def test_alt_series_rejects_bad_mu():
             check_alt_series_digamma(bad)
 
 
+@pytest.mark.parametrize("mu", [1e-310, 5e-324])
+def test_alt_series_rejects_subnormal_mu(mu):
+    # Below the smallest normal float 1/(mu/2) in digamma(mu/2) overflows
+    # (at 5e-324 mu/2 rounds to 0), so the check and the chain's step at
+    # a = mu skip with a reason that names mu.
+    reason = f"mu must be a positive normal float, got {mu!r}"
+    with pytest.raises(ValueError, match=reason):
+        check_alt_series_digamma(mu)
+    report = run_full_chain([mu])
+    assert SkippedStep("alt_series_digamma", {"mu": mu}, reason) in report.skipped
+    assert "alt_series_digamma" not in {s.name for s in report.steps}
+
+
+def test_alt_series_at_smallest_normal_mu():
+    rep = check_alt_series_digamma(sys.float_info.min)
+    assert rep.passed
+    assert math.isclose(rep.lhs, 4.494e307, rel_tol=1e-4)
+    assert rep.rhs == rep.lhs
+
+
 @pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 3.0])
 def test_p_integral(a):
     rep = check_p_integral(a)
     assert rep.passed
-    # The endpoint bracket telescopes back to delta(a) - ln a.
     assert math.isclose(rep.rhs, delta_closed(a) - math.log(a), rel_tol=1e-12, abs_tol=1e-14)
     _assert_report_consistent(rep)
 
@@ -245,15 +268,19 @@ def test_intermediate_routes_agree(a):
     # Four routes to delta(a) - ln a must agree pairwise.  The t- and
     # z-domain steps integrate the same analytic form, in t and in
     # u = e^{-2at}, by different DE transforms.
-    routes = [
-        check_arctan_kernel(a).rhs,
-        check_t_domain(a).rhs,
-        check_z_domain(a).rhs,
-        check_p_integral(a).lhs,
-    ]
+    routes = [check(a).lhs for check in ROUTES]
     for i, x in enumerate(routes):
         for y in routes[i + 1:]:
             assert abs(x - y) <= 2.0 * DEFAULT_TOL
+
+
+@pytest.mark.parametrize("check", ROUTES)
+@pytest.mark.parametrize("a", [0.5, 2.0, 37.0, 1e4])
+def test_routes_share_one_closed_side(check, a):
+    # Each route's rhs is the one closed form of delta(a) - ln|a|, at -a
+    # too where the route accepts it.
+    for x in (a, -a) if check in (check_arctan_kernel, check_t_domain) else (a,):
+        assert check(x).rhs == delta_closed(x) - math.log(abs(x))
 
 
 @pytest.mark.parametrize("check", [check_delta_quadrature, check_arctan_kernel, check_t_domain])
