@@ -34,11 +34,11 @@ from malmsten.proofchain import (
 from malmsten.quad import DEFAULT_TOLERANCE, ToleranceSpec
 
 A05_GRID = [0.25, 0.5, 1.0, 2.0, 4.0]
-# The four routes to delta(a) - ln a.
-ROUTES = [check_arctan_kernel, check_t_domain, check_z_domain, check_p_integral]
 # The A05 grid plus a negative point, zero, a point just above the
 # domain steps' cutoff and a large one.
 WIDE_GRID = A05_GRID + [-3.0, 0.0, 0.005, 60.0]
+# The four routes to delta(a) - ln a.
+ROUTES = [check_arctan_kernel, check_t_domain, check_z_domain, check_p_integral]
 
 # Frozen from a 30-digit run: (mu, (digamma((mu+1)/2) - digamma(mu/2)) / 2).
 ALT_SERIES_ORACLE = [
