@@ -68,18 +68,19 @@ by every later call:
                 both by its halfspan and keeps the per-node weight floor
                 and endpoint checks, which depend on the interval.
 
-Tables are arrays of doubles, 16 bytes per node.  Only levels up to
-DEFAULT_TOLERANCE.max_level (12) are kept: all of them hold 25,279
-tanh-sinh and 55,431 exp-sinh nodes, about 1.3 MB.  A call asking for a
-deeper level builds that level's nodes, uses them and drops them.  Two
-threads that build the same level at once store one table; both tables
-are identical.
+Tables are arrays of doubles, 16 bytes per node, cached by
+functools.cache.  ToleranceSpec caps max_level at 12, so at most 13
+levels per transform are ever kept: together 25,279 tanh-sinh and
+55,431 exp-sinh nodes, about 1.3 MB.  Two threads that ask for an
+uncached level at once may each build it; the cache keeps one table,
+and both tables are identical.
 
 Results are deterministic: identical inputs produce bit-identical
 values, estimates and evaluation counts, whether a table was cold or
 warm.
 """
 
+import functools
 import math
 import operator
 from array import array
@@ -100,7 +101,6 @@ __all__ = [
 _HALF_PI = math.pi / 2.0
 _WEIGHT_FLOOR = 1e-300  # truncate once the transformed weight underflows this far
 _EXP_ARG_CAP = 667.0    # keeps exp-sinh nodes and weights finite (x <= ~1.3e289)
-_T_CAP = 8.0            # hard stop for the transform variable; underflow wins first
 _REL_TOL_FLOOR = 1e-14
 _EPS = 2.0 ** -52
 _ROUNDOFF = 8.0         # c of the estimate's roundoff floor c * eps * h * sum|w*f|
@@ -116,7 +116,8 @@ class ToleranceSpec:
 
     rel_tol below 1e-14 is rejected: successive-level agreement that
     tight cannot be distinguished from double-precision roundoff.
-    max_level, the deepest refinement level, is stored as an int.
+    max_level, the deepest refinement level, must be an integer in
+    [1, 12] and is stored as an int.
     """
 
     rel_tol: float = 1e-12
@@ -132,8 +133,8 @@ class ToleranceSpec:
             level = operator.index(self.max_level)
         except TypeError:
             level = 0
-        if level < 1:
-            raise ValueError(f"max_level must be an integer >= 1, got {self.max_level!r}")
+        if not 1 <= level <= 12:           # 12 also bounds the cached node tables
+            raise ValueError(f"max_level must be an integer in [1, 12], got {self.max_level!r}")
         object.__setattr__(self, "max_level", level)
 
 
@@ -207,20 +208,7 @@ def _refine(sweep: Callable[[int, list, tuple], tuple], tol: ToleranceSpec) -> Q
     return QuadratureResult(value, estimate, count, False)
 
 
-# level -> node table; see the module docstring.
-_TANH_SINH: dict = {}
-_EXP_SINH: dict = {}
-
-
-def _table(cache: dict, build: Callable[[int], tuple], level: int) -> tuple:
-    table = cache.get(level)
-    if table is None:
-        table = build(level)
-        if level <= DEFAULT_TOLERANCE.max_level:
-            table = cache.setdefault(level, table)
-    return table
-
-
+@functools.cache
 def _tanh_sinh_nodes(level: int) -> tuple:
     """(d, w0) arrays for the non-midpoint nodes new at `level`, for halfspan 1.
 
@@ -235,8 +223,6 @@ def _tanh_sinh_nodes(level: int) -> tuple:
     k = 1
     while True:
         t = k * h
-        if t > _T_CAP:
-            break
         u = _HALF_PI * math.sinh(t)
         e2 = math.exp(-2.0 * u)            # in (0, 1]
         sech_u = 2.0 * math.exp(-u) / (1.0 + e2)
@@ -249,6 +235,7 @@ def _tanh_sinh_nodes(level: int) -> tuple:
     return ds, w0s
 
 
+@functools.cache
 def _exp_sinh_nodes(level: int) -> tuple:
     """(x, w) for the nodes new at `level`, and how many are up nodes.
 
@@ -261,7 +248,7 @@ def _exp_sinh_nodes(level: int) -> tuple:
     xs = array("d", [1.0] if level == 0 else [])          # x(0) = 1, weight pi/2
     ws = array("d", [_HALF_PI] if level == 0 else [])
     k = 1
-    while k * h <= _T_CAP:                 # up: x = exp(arg) until arg passes its cap
+    while True:                            # up: x = exp(arg) until arg passes its cap
         t = k * h
         arg = _HALF_PI * math.sinh(t)
         if arg > _EXP_ARG_CAP:
@@ -272,7 +259,7 @@ def _exp_sinh_nodes(level: int) -> tuple:
         k += step
     n_up = len(xs) - (level == 0)
     k = 1
-    while k * h <= _T_CAP:                 # down: x = exp(-arg) until w underflows
+    while True:                            # down: x = exp(-arg) until w underflows
         t = k * h
         x = math.exp(-(_HALF_PI * math.sinh(t)))
         w = _HALF_PI * math.cosh(t) * x
@@ -322,12 +309,12 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
                 partial += w * fx
                 if partial < 0.0:
                     negative = partial
-        ds, w0s = _table(_TANH_SINH, _tanh_sinh_nodes, level)
+        ds, w0s = _tanh_sinh_nodes(level)
         # A trimmed side ends at the abscissa of its limit, a level-0 node.
         right_end = hi
         left_end = lo
         if level:
-            ds0 = _table(_TANH_SINH, _tanh_sinh_nodes, 0)[0]
+            ds0 = _tanh_sinh_nodes(0)[0]
             if limits[0] < math.inf:
                 right_end = hi - halfspan * ds0[limits[0] - 1]
             if limits[1] < math.inf:
@@ -386,7 +373,7 @@ def integrate_semi_infinite(f: Callable[[float], float],
     """
 
     def sweep(level: int, limits, terms) -> tuple:
-        xs, ws, n_up = _table(_EXP_SINH, _exp_sinh_nodes, level)
+        xs, ws, n_up = _exp_sinh_nodes(level)
         partial = negative = 0.0           # sum of w*f, and of its negative terms
         start = 0
         if level == 0:                     # the center node comes first

@@ -20,8 +20,8 @@ and verdict.  The one intended difference is a call that evaluates f
 nowhere, which the engine reports as converged=False with an infinite
 estimate.
 
-The remaining tests pin the tables' retention limit and their safety
-when threads build a cold level at once.
+The remaining tests pin the tables' size under the 12-level cap and
+their safety when threads build a cold level at once.
 """
 
 import dataclasses
@@ -358,16 +358,21 @@ def test_full_chain_matches_reference(monkeypatch):
     assert repr(got) == repr(proofchain.run_full_chain(grid))
 
 
-# -- retention and thread safety ----------------------------------------------
+# -- table size and thread safety ---------------------------------------------
 
-def _node_count(cache):
-    return sum(len(table[0]) for table in cache.values())
+def _node_count(build):
+    assert build.cache_info().currsize == 13
+    return sum(len(build(level)[0]) for level in range(13))
+
+
+def _clear_tables():
+    quad._tanh_sinh_nodes.cache_clear()
+    quad._exp_sinh_nodes.cache_clear()
 
 
 @pytest.fixture
-def cold_tables(monkeypatch):
-    monkeypatch.setattr(quad, "_TANH_SINH", {})
-    monkeypatch.setattr(quad, "_EXP_SINH", {})
+def cold_tables():
+    _clear_tables()
 
 
 def _divergent_sweep(max_level):
@@ -380,22 +385,19 @@ def _divergent_sweep(max_level):
 
 def test_tables_hold_levels_up_to_twelve(cold_tables):
     _divergent_sweep(12)
-    assert sorted(quad._TANH_SINH) == sorted(quad._EXP_SINH) == list(range(13))
-    assert _node_count(quad._TANH_SINH) == 25_279
-    assert _node_count(quad._EXP_SINH) == 55_431
+    assert _node_count(quad._tanh_sinh_nodes) == 25_279
+    assert _node_count(quad._exp_sinh_nodes) == 55_431
 
 
-def test_deeper_levels_are_not_retained(cold_tables):
-    deep = _divergent_sweep(14)
-    assert max(quad._TANH_SINH) == max(quad._EXP_SINH) == DEFAULT_TOLERANCE.max_level
-    assert _divergent_sweep(14) == deep
-    assert max(quad._TANH_SINH) == max(quad._EXP_SINH) == DEFAULT_TOLERANCE.max_level
+def test_levels_above_twelve_are_rejected():
+    with pytest.raises(ValueError, match=r"max_level must be an integer in \[1, 12\], got 13"):
+        ToleranceSpec(max_level=13)
+    assert ToleranceSpec(max_level=12) == DEFAULT_TOLERANCE
 
 
 def test_cold_tables_built_by_racing_threads(cold_tables):
     expected = _divergent_sweep(12)
-    quad._TANH_SINH.clear()
-    quad._EXP_SINH.clear()
+    _clear_tables()
     results = []
     threads = [threading.Thread(target=lambda: results.append(_divergent_sweep(12)))
                for _ in range(8)]
@@ -411,5 +413,5 @@ def test_cold_tables_built_by_racing_threads(cold_tables):
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == len(threads)
     assert all(repr(r) == repr(expected) for r in results)
-    assert _node_count(quad._TANH_SINH) == 25_279
-    assert _node_count(quad._EXP_SINH) == 55_431
+    assert _node_count(quad._tanh_sinh_nodes) == 25_279
+    assert _node_count(quad._exp_sinh_nodes) == 55_431
