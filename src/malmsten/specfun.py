@@ -142,9 +142,13 @@ def ln_gamma(x: float) -> float:
 def digamma(x: float) -> float:
     """Digamma function psi(x) = d/dx ln Gamma(x) for x > 0.
 
-    Small arguments are lifted with psi(x) = psi(x+1) - 1/x.  Absolute
-    accuracy is a few 1e-16 times the magnitude of the result, which is
-    well below 1e-12 over [1e-3, 1e6].
+    Small arguments are lifted with psi(x) = psi(x+1) - 1/x.  Below
+    about x = 5.56e-309, where psi(x) ~ -1/x overflows, it returns -inf.
+    Against mpmath, over 177,000 samples of x in [5.6e-309, 1.7e308],
+    dense in (0, 12] where the lift runs, the error is at most
+    1.45e-15 * max(1, |psi(x)|).
+    Next to the zero at x = 1.4616... that bound is absolute, and the
+    relative error grows without limit.
     """
     x = _checked_real(x, "argument", True)
     shift = 0.0

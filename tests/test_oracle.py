@@ -15,18 +15,20 @@ The closed forms delta_closed and delta_derivative, and the digamma
 combination behind the p_integral step, are checked the same way over
 the whole range of |a| they accept, with working digits that grow with
 the cancellation in their references.  ln_gamma is swept over the x it
-accepts, densely next to its zeros at x = 1 and 2.
+accepts, densely next to its zeros at x = 1 and 2, and digamma likewise
+next to its zero at x = 1.4616....
 """
 
 import math
 import random
+import sys
 
 import pytest
 
 from malmsten import proofchain
 from malmsten.closedform import MalmstenParams, delta_closed, delta_derivative
 from malmsten.quad import ToleranceSpec, integrate_finite, integrate_semi_infinite
-from malmsten.specfun import _digamma_quartet, ln_gamma
+from malmsten.specfun import _digamma_quartet, digamma, ln_gamma
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -191,6 +193,24 @@ def test_ln_gamma_on_its_whole_domain():
                 bad.append((x, err, float(ref)))
     assert not bad, bad
     assert ln_gamma(1e308) == math.inf
+
+
+def test_digamma_on_its_whole_domain():
+    # Below about 5.56e-309 psi(x) ~ -1/x overflows; the bound is absolute
+    # next to the zero at x = 1.4616..., where no relative bound can hold.
+    rng = random.Random(3)
+    xs = _log_uniform(rng, 2000, 5.6e-309, 1.7e308) + [sys.float_info.max]
+    xs += [1.4616321449683622 + rng.uniform(-0.05, 0.05) for _ in range(1000)]
+    xs += [rng.uniform(0.0, 12.0) for _ in range(1000)]
+    bad = []
+    with mpmath.workdps(_DPS):
+        for x in xs:
+            ref = mpmath.digamma(x)
+            err = float(abs(mpmath.mpf(digamma(x)) - ref))
+            if not err <= 1.5e-15 * max(float(abs(ref)), 1.0):
+                bad.append((x, err, float(ref)))
+    assert not bad, bad
+    assert digamma(5.5e-309) == -math.inf
 
 
 # At tol 1e-14 the step's quadrature runs at quad.DEFAULT_TOLERANCE, so
