@@ -4,13 +4,16 @@ Every fenced ```python block of README.md is executed in a fresh
 namespace, so a renamed or unexported name fails here first.  Every
 `$ malmsten ...` sample is run through cli.main and must print the lines
 shown under it (timing_ms masked, CRLF read as LF); a `...` line ends
-what is compared.
+what is compared.  Its claim of no runtime dependencies outside the
+standard library is checked against every import in src/malmsten.
 """
 
+import ast
 import contextlib
 import io
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ import pytest
 from malmsten.cli import main
 
 README = Path(__file__).parent.parent / "README.md"
+PACKAGE = Path(__file__).parent.parent / "src" / "malmsten"
 _TEXT = README.read_text(encoding="utf-8")
 _TIMING = re.compile(r'"timing_ms":[^,}]+')
 
@@ -78,3 +82,21 @@ def test_cli_sample_output(argv, shown):
         shown = shown[:shown.index("...")]
         lines = lines[:len(shown)]
     assert _masked(lines) == _masked(shown)
+
+
+def test_package_imports_only_the_standard_library():
+    assert "no dependencies outside the standard library" in _TEXT
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    outside = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names | {"malmsten"}]
+    assert not outside, outside
