@@ -58,20 +58,23 @@ agree on 0 and integrate_finite returns converged=True with value 0
 and error_estimate 0 after 19 evaluations; the integral is 1.77e-3.
 
 The nodes and weights of a level do not depend on the integrand, so
-each transform keeps a table per level, built on first use and summed
-by every later call:
+one scan over t builds both transforms' tables for a level on first
+use, and every later call sums them:
 
-    exp-sinh:   the final (x, w) pairs, with every truncation applied,
-                up side first, then down side, and the up count;
     tanh-sinh:  (d, w0) for halfspan 1, where d is the distance from a
                 node to its endpoint and w0 its weight.  A call scales
                 both by its halfspan and keeps the per-node weight floor
-                and endpoint checks, which depend on the interval.
+                and endpoint checks, which depend on the interval;
+    exp-sinh:   (x, w) for the up side and for the down side, with
+                every truncation applied.
 
+No table holds the t = 0 node: at level 0 each sweep sums it itself,
+the tanh-sinh midpoint or the exp-sinh center x = 1 with weight pi/2.
 Tables are arrays of doubles, 16 bytes per node, cached by
 functools.cache.  ToleranceSpec caps max_level at 12, so at most 13
-levels per transform are ever kept: together 25,279 tanh-sinh and
-55,431 exp-sinh nodes, about 1.3 MB.  Two threads that ask for an
+levels are ever kept: 25,279 tanh-sinh nodes and 55,431 exp-sinh ones
+with the center, about 1.3 MB.  A process that only integrates on
+(0, inf) builds the tanh-sinh tables too.  Two threads that ask for an
 uncached level at once may each build it; the cache keeps one table,
 and both tables are identical.
 
@@ -209,66 +212,47 @@ def _refine(sweep: Callable[[int, list, tuple], tuple], tol: ToleranceSpec) -> Q
 
 
 @functools.cache
-def _tanh_sinh_nodes(level: int) -> tuple:
-    """(d, w0) arrays for the non-midpoint nodes new at `level`, for halfspan 1.
+def _nodes(level: int) -> tuple:
+    """Both transforms' nodes new at `level`, from one scan over t = k*h.
 
-    The scan ends at the first zero weight, which is below the floor for
-    any finite halfspan.  A call also stops where d has underflowed to
-    0, because both of that node's abscissae round onto the endpoints.
+    Returns (d, w0) for tanh-sinh at halfspan 1, then (x, w) for the
+    exp-sinh up side (x > 1) and (x, w) for its down side (x < 1), each
+    with k ascending and without the t = 0 node, which the sweeps sum
+    themselves.  Each array stops at its own rule: tanh-sinh at the
+    first zero w0, which is below the floor for any finite halfspan; the
+    up side once (pi/2) sinh t passes _EXP_ARG_CAP; the down side, which
+    runs longest at every level, once w falls below _WEIGHT_FLOOR, and
+    that ends the scan.  A tanh-sinh call also stops where d has
+    underflowed to 0, because both of that node's abscissae round onto
+    the endpoints.  The exp-sinh arrays are memoryviews, so a call
+    slices out a side without a copy.
     """
     h = 0.5 ** level
     step = 1 if level == 0 else 2
-    ds = array("d")
-    w0s = array("d")
+    ds, w0s, up_x, up_w, down_x, down_w = (array("d") for _ in range(6))
     k = 1
     while True:
         t = k * h
         u = _HALF_PI * math.sinh(t)
-        e2 = math.exp(-2.0 * u)            # in (0, 1]
-        sech_u = 2.0 * math.exp(-u) / (1.0 + e2)
-        w0 = _HALF_PI * math.cosh(t) * sech_u * sech_u
-        if w0 == 0.0:
-            break
-        ds.append(2.0 * e2 / (1.0 + e2))
-        w0s.append(w0)
-        k += step
-    return ds, w0s
-
-
-@functools.cache
-def _exp_sinh_nodes(level: int) -> tuple:
-    """(x, w) for the nodes new at `level`, and how many are up nodes.
-
-    The center x(0) = 1 comes first at level 0, then the up nodes (x > 1)
-    and then the down nodes (x < 1), each side with k ascending.  x and w
-    are memoryviews of arrays, so a call slices out a side without a copy.
-    """
-    h = 0.5 ** level
-    step = 1 if level == 0 else 2
-    xs = array("d", [1.0] if level == 0 else [])          # x(0) = 1, weight pi/2
-    ws = array("d", [_HALF_PI] if level == 0 else [])
-    k = 1
-    while True:                            # up: x = exp(arg) until arg passes its cap
-        t = k * h
-        arg = _HALF_PI * math.sinh(t)
-        if arg > _EXP_ARG_CAP:
-            break
-        x = math.exp(arg)
-        xs.append(x)
-        ws.append(_HALF_PI * math.cosh(t) * x)
-        k += step
-    n_up = len(xs) - (level == 0)
-    k = 1
-    while True:                            # down: x = exp(-arg) until w underflows
-        t = k * h
-        x = math.exp(-(_HALF_PI * math.sinh(t)))
-        w = _HALF_PI * math.cosh(t) * x
+        c = _HALF_PI * math.cosh(t)
+        x = math.exp(-u)
+        w = c * x
         if w < _WEIGHT_FLOOR:
             break
-        xs.append(x)
-        ws.append(w)
+        down_x.append(x)
+        down_w.append(w)
+        if u <= _EXP_ARG_CAP:              # up: x = exp(u) stays finite
+            up = math.exp(u)
+            up_x.append(up)
+            up_w.append(c * up)
+        e2 = math.exp(-2.0 * u)            # in (0, 1]
+        sech_u = 2.0 * x / (1.0 + e2)
+        w0 = c * sech_u * sech_u
+        if w0 != 0.0:
+            ds.append(2.0 * e2 / (1.0 + e2))
+            w0s.append(w0)
         k += step
-    return memoryview(xs), memoryview(ws), n_up
+    return (ds, w0s) + tuple(map(memoryview, (up_x, up_w, down_x, down_w)))
 
 
 def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
@@ -309,12 +293,12 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
                 partial += w * fx
                 if partial < 0.0:
                     negative = partial
-        ds, w0s = _tanh_sinh_nodes(level)
+        ds, w0s = _nodes(level)[:2]
         # A trimmed side ends at the abscissa of its limit, a level-0 node.
         right_end = hi
         left_end = lo
         if level:
-            ds0 = _tanh_sinh_nodes(0)[0]
+            ds0 = _nodes(0)[0]
             if limits[0] < math.inf:
                 right_end = hi - halfspan * ds0[limits[0] - 1]
             if limits[1] < math.inf:
@@ -373,20 +357,19 @@ def integrate_semi_infinite(f: Callable[[float], float],
     """
 
     def sweep(level: int, limits, terms) -> tuple:
-        xs, ws, n_up = _exp_sinh_nodes(level)
+        _, _, up_x, up_w, down_x, down_w = _nodes(level)
         partial = negative = 0.0           # sum of w*f, and of its negative terms
-        start = 0
-        if level == 0:                     # the center node comes first
-            x = xs[0]
-            fx = f(x)
+        n = 0
+        if level == 0:                     # the center x(0) = 1, weight pi/2, comes first
+            fx = f(1.0)
             if fx != fx:
-                raise _nan_error(x)
-            partial += ws[0] * fx
+                raise _nan_error(1.0)
+            partial += _HALF_PI * fx
             if partial < 0.0:
                 negative = partial
-            start = 1
-        split = start + n_up
-        n_down = len(xs) - split
+            n = 1
+        n_up = len(up_x)
+        n_down = len(down_x)
         if level:
             per_step = 1 << (level - 1)    # nodes new at this level per level-0 step
             if limits[0] * per_step < n_up:
@@ -395,8 +378,7 @@ def integrate_semi_infinite(f: Callable[[float], float],
                 n_down = limits[1] * per_step
         both = n_up if n_up < n_down else n_down
         up = down = 0.0                    # w*f at each side's outermost node
-        for x, w, y, v in zip(xs[start:start + both], ws[start:start + both],
-                              xs[split:split + both], ws[split:split + both]):
+        for x, w, y, v in zip(up_x[:both], up_w[:both], down_x[:both], down_w[:both]):
             fx = f(x)
             if fx != fx:
                 raise _nan_error(x)
@@ -417,10 +399,10 @@ def integrate_semi_infinite(f: Callable[[float], float],
         if n_up != n_down:                 # the side with more nodes goes on alone
             ends = [up, down]
             if n_up > both:
-                side, first, stop = 0, start + both, start + n_up
+                side, xs, ws, stop = 0, up_x, up_w, n_up
             else:
-                side, first, stop = 1, split + both, split + n_down
-            for x, w in zip(xs[first:stop], ws[first:stop]):
+                side, xs, ws, stop = 1, down_x, down_w, n_down
+            for x, w in zip(xs[both:stop], ws[both:stop]):
                 fx = f(x)
                 if fx != fx:
                     raise _nan_error(x)
@@ -432,6 +414,6 @@ def integrate_semi_infinite(f: Callable[[float], float],
                     terms[side].append(term)
             ends[side] = term
             up, down = ends
-        return partial, partial - 2.0 * negative, start + n_up + n_down, up, down
+        return partial, partial - 2.0 * negative, n + n_up + n_down, up, down
 
     return _refine(sweep, tol)

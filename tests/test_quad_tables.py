@@ -360,14 +360,17 @@ def test_full_chain_matches_reference(monkeypatch):
 
 # -- table size and thread safety ---------------------------------------------
 
-def _node_count(build):
-    assert build.cache_info().currsize == 13
-    return sum(len(build(level)[0]) for level in range(13))
+def _node_counts():
+    """(tanh-sinh, exp-sinh) nodes over the 13 cached levels; exp-sinh
+    counts its center once, as well as every up and down node."""
+    assert quad._nodes.cache_info().currsize == 13
+    tables = [quad._nodes(level) for level in range(13)]
+    return (sum(len(t[0]) for t in tables),
+            1 + sum(len(t[2]) + len(t[4]) for t in tables))
 
 
 def _clear_tables():
-    quad._tanh_sinh_nodes.cache_clear()
-    quad._exp_sinh_nodes.cache_clear()
+    quad._nodes.cache_clear()
 
 
 @pytest.fixture
@@ -385,8 +388,7 @@ def _divergent_sweep(max_level):
 
 def test_tables_hold_levels_up_to_twelve(cold_tables):
     _divergent_sweep(12)
-    assert _node_count(quad._tanh_sinh_nodes) == 25_279
-    assert _node_count(quad._exp_sinh_nodes) == 55_431
+    assert _node_counts() == (25_279, 55_431)
 
 
 def test_levels_above_twelve_are_rejected():
@@ -413,5 +415,4 @@ def test_cold_tables_built_by_racing_threads(cold_tables):
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == len(threads)
     assert all(repr(r) == repr(expected) for r in results)
-    assert _node_count(quad._tanh_sinh_nodes) == 25_279
-    assert _node_count(quad._exp_sinh_nodes) == 55_431
+    assert _node_counts() == (25_279, 55_431)
