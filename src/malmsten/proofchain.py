@@ -403,9 +403,16 @@ def check_b_reduction(tol: float = DEFAULT_TOL) -> IdentityReport:
 
 def check_c_quadrature(params: MalmstenParams,
                        tol: float = DEFAULT_TOL) -> IdentityReport:
-    """Quadrature of ln(a x)/cosh(b x) against malmsten_c(params)."""
+    """Quadrature of ln(a x)/cosh(b x) against malmsten_c(params).
+
+    Requires malmsten_c(params) to be finite, which fails when pi/b
+    overflows (b below about 1.7476e-308).
+    """
+    closed = malmsten_c(params)
+    if not math.isfinite(closed):
+        raise ValueError(f"malmsten_c is not finite at a = {params.a!r}, b = {params.b!r}")
     return _quadrature_check("c_quadrature", {"a": params.a, "b": params.b},
-                             malmsten_c_integrand(params), malmsten_c(params), tol)
+                             malmsten_c_integrand(params), closed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +462,12 @@ def run_full_chain(a_grid: Sequence[float], tol: float = DEFAULT_TOL) -> ChainRe
     steps.append(check_b_reduction(tol))
 
     for a in grid:
-        aa = abs(a)
-        if aa == 0.0:
-            skipped.append(SkippedStep("c_quadrature", {"a": a},
-                                       "requires a nonzero scale"))
-            continue
-        steps.append(check_c_quadrature(MalmstenParams(aa, aa), tol))
+        try:
+            if a == 0.0:
+                raise ValueError("requires a nonzero scale")
+            steps.append(check_c_quadrature(MalmstenParams(abs(a), abs(a)), tol))
+        except ValueError as exc:
+            skipped.append(SkippedStep("c_quadrature", {"a": a}, str(exc)))
 
     overall = all(s.passed for s in steps)
     total_evals = sum(s.evaluations for s in steps)

@@ -178,10 +178,13 @@ def test_verify_records_skips(capsys):
         assert s["reason"]
 
 
-def test_verify_tiny_a_is_not_a_usage_error(capsys):
-    # a*a underflows to 0 here; the chain must report, not divide by zero.
-    code, out, err = run_cli(capsys, "verify", "--grid", "1e-300")
-    assert code != 2
+@pytest.mark.parametrize("grid", ["1e-300", "1e-308", "5e-324"])
+def test_verify_tiny_a_is_not_a_usage_error(capsys, grid):
+    # a*a underflows to 0 here, and below 1.7476e-308 malmsten_c's pi/b
+    # overflows too; the chain must report and skip, not divide by zero
+    # or fail to serialize an infinite closed side.
+    code, out, err = run_cli(capsys, "verify", "--grid", grid)
+    assert code == 1
     assert "division" not in err
     assert json.loads(out)["results"]["skipped"]
 

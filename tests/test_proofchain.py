@@ -189,6 +189,19 @@ def test_alt_series_rejects_subnormal_mu(mu):
     assert "alt_series_digamma" not in {s.name for s in report.steps}
 
 
+@pytest.mark.parametrize("a", [1e-308, 5e-324])
+def test_c_quadrature_rejects_infinite_closed_side(a):
+    # Below b = pi/DBL_MAX = 1.7476e-308 the closed side's pi/b
+    # overflows, so the check and the chain's step at a = b = |a| skip
+    # with a reason that names both scales.
+    reason = f"malmsten_c is not finite at a = {a!r}, b = {a!r}"
+    with pytest.raises(ValueError, match=reason):
+        check_c_quadrature(MalmstenParams(a, a))
+    report = run_full_chain([-a])
+    assert SkippedStep("c_quadrature", {"a": -a}, reason) in report.skipped
+    assert "c_quadrature" not in {s.name for s in report.steps}
+
+
 def test_alt_series_at_smallest_normal_mu():
     rep = check_alt_series_digamma(sys.float_info.min)
     assert rep.passed
