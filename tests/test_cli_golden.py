@@ -70,6 +70,8 @@ CASES = [
     ["eval", "--which", "c", "--a", "0", "--b", "1"],
     ["eval", "--which", "a", "--a", "x"],
     ["quad", "--which", "c", "--a", "-2", "--b", "1"],
+    # --rel-tol is checked before the positivity of a and b
+    ["quad", "--which", "c", "--a", "-2", "--b", "1", "--rel-tol", "nan"],
     ["verify", "--grid", ""],
     ["verify", "--grid", "abc"],
     ["verify", "--grid", "1.0,,2.0"],
