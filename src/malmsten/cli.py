@@ -79,8 +79,6 @@ def _json_value(v) -> str:
         return _format_float(v)
     if isinstance(v, str):
         return json.dumps(v)
-    if v is None:
-        return "null"
     if isinstance(v, dict):
         return "{" + ",".join(f"{json.dumps(str(k))}:{_json_value(x)}" for k, x in v.items()) + "}"
     if isinstance(v, (list, tuple)):
@@ -88,13 +86,14 @@ def _json_value(v) -> str:
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
+def _field_dict(obj) -> dict:
+    """A dataclass instance's fields in order.  Unlike dataclasses.asdict
+    it copies no value; the record only reads them."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def render_json(record: OutputRecord) -> str:
-    return _json_value({
-        "command": record.command,
-        "parameters": record.parameters,
-        "results": record.results,
-        "timing_ms": record.timing_ms,
-    })
+    return _json_value(_field_dict(record))
 
 
 def parse_json(text: str) -> OutputRecord:
@@ -108,15 +107,6 @@ def _csv_cell(v) -> str:
     if isinstance(v, str):
         return v
     return "" if v is None else _json_value(v)
-
-
-def _csv_table(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # csv defaults to RFC 4180 quoting and CRLF
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(col)) for col in header])
-    return buf.getvalue()
 
 
 _CSV_COLUMNS = {
@@ -136,7 +126,12 @@ def render_csv(record: OutputRecord) -> str:
         rows = record.results["steps"]
     else:
         rows = record.results["rows"]
-    return _csv_table(header, rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf)  # csv defaults to RFC 4180 quoting and CRLF
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_csv_cell(row.get(col)) for col in header])
+    return buf.getvalue()
 
 
 def parse_csv(text: str):
@@ -151,12 +146,6 @@ def parse_csv(text: str):
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
-def _field_dict(obj) -> dict:
-    """A dataclass instance's fields in order.  Unlike dataclasses.asdict
-    it copies no value; the record only reads them."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
 def _as_usage(fn, *args):
     """fn(*args), with a ValueError from checking user input re-raised as
     a usage error."""
@@ -170,9 +159,12 @@ def _checked_param(value, name: str) -> float:
     return _as_usage(_checked_real, value, "--" + name)
 
 
-def _which_params(args) -> dict:
-    """Validate the --which/--a/--b combination and return the parameter
-    dict in stable order."""
+def _integral(args):
+    """Check the --which/--a/--b combination.  Returns the parameter dict
+    in stable order, then the integral's closed form and integrand as
+    zero-argument callables.  They call this module's names as they stand
+    (bench/tracing.py replaces them), and for c check a, b > 0 only when
+    called, which is after --rel-tol."""
     which = args.which
     params = {"which": which}
     if which == "a":
@@ -180,40 +172,30 @@ def _which_params(args) -> dict:
             raise _UsageError("--which a requires --a")
         if args.b is not None:
             raise _UsageError("--which a does not take --b")
-        params["a"] = _checked_param(args.a, "a")
-    elif which == "b":
+        a = params["a"] = _checked_param(args.a, "a")
+        return params, lambda: delta_closed(a), lambda: delta_integrand(a)
+    if which == "b":
         if args.a is not None or args.b is not None:
             raise _UsageError("--which b takes neither --a nor --b")
-    else:
-        if args.a is None or args.b is None:
-            raise _UsageError("--which c requires both --a and --b")
-        params["a"] = _checked_param(args.a, "a")
-        params["b"] = _checked_param(args.b, "b")
-    return params
+        return params, vardi_b_constant, vardi_b_integrand
+    if args.a is None or args.b is None:
+        raise _UsageError("--which c requires both --a and --b")
+    a = params["a"] = _checked_param(args.a, "a")
+    b = params["b"] = _checked_param(args.b, "b")
+    return (params, lambda: malmsten_c(_as_usage(MalmstenParams, a, b)),
+            lambda: malmsten_c_integrand(_as_usage(MalmstenParams, a, b)))
 
 
 def _cmd_eval(args):
-    params = _which_params(args)
-    if args.which == "a":
-        value = delta_closed(params["a"])
-    elif args.which == "b":
-        value = vardi_b_constant()
-    else:
-        value = malmsten_c(_as_usage(MalmstenParams, params["a"], params["b"]))
-    return params, {"value": value}
+    params, closed, _ = _integral(args)
+    return params, {"value": closed()}
 
 
 def _cmd_quad(args):
-    params = _which_params(args)
+    params, _, integrand = _integral(args)
     tol = _as_usage(ToleranceSpec, _checked_param(args.rel_tol, "rel-tol"))
     params["rel_tol"] = tol.rel_tol
-    if args.which == "a":
-        integrand = delta_integrand(params["a"])
-    elif args.which == "b":
-        integrand = vardi_b_integrand()
-    else:
-        integrand = malmsten_c_integrand(_as_usage(MalmstenParams, params["a"], params["b"]))
-    res = integrate_semi_infinite(integrand, tol)
+    res = integrate_semi_infinite(integrand(), tol)
     if not math.isfinite(res.value):
         raise QuadratureError(f"quadrature diverged (value {res.value!r})")
     return params, _field_dict(res)

@@ -119,6 +119,29 @@ def test_quad_non_convergence_exits_3(capsys, monkeypatch, value, converged):
         assert err == "error: quadrature diverged (value inf)\n"
 
 
+def test_commands_call_the_module_names(capsys, monkeypatch):
+    # bench/tracing.py counts calls by replacing these names in the cli
+    # module; eval and quad must reach each one through that name.
+    import malmsten.cli as cli_mod
+
+    names = ("delta_closed", "vardi_b_constant", "malmsten_c",
+             "delta_integrand", "vardi_b_integrand", "malmsten_c_integrand")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli_mod, name, counting(name, getattr(cli_mod, name)))
+    for which in (["a", "--a", "0.5"], ["b"], ["c", "--a", "2", "--b", "3"]):
+        for command in ("eval", "quad"):
+            assert run_cli(capsys, command, "--which", *which)[0] == 0
+    assert calls == dict.fromkeys(names, 1)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_unrenderable_value_writes_nothing(capsys, fmt):
     # The closed form overflows to inf for b this small; a record that
