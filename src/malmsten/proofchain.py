@@ -35,7 +35,7 @@ check or fake engine, a benchmark's timing wrapper) changes what runs.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .closedform import _LN_PI, MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
@@ -115,14 +115,12 @@ class ChainReport:
 
 
 def _build_report(name: str, params: dict, lhs: float, rhs: float, tol: float,
-                  evaluations: int = 0, converged: bool = True,
-                  note: str = "") -> IdentityReport:
+                  evaluations: int = 0, converged: bool = True) -> IdentityReport:
     abs_err = abs(lhs - rhs)
     denom = max(abs(lhs), abs(rhs))
     rel_err = abs_err / denom if denom > 0.0 else 0.0
     passed = converged and (abs_err <= tol or rel_err <= tol)
-    if not converged and not note:
-        note = "quadrature did not converge"
+    note = "" if converged else "quadrature did not converge"
     return IdentityReport(name, params, lhs, rhs, abs_err, rel_err, tol,
                           passed, evaluations, note)
 
@@ -396,9 +394,8 @@ def check_b_reduction(tol: float = DEFAULT_TOL) -> IdentityReport:
         f"{r.name} abs_err={r.abs_err:.3e}" for r in subs)
     if any(r.note for r in subs):  # only a quadrature that did not converge has one
         note += "; quadrature did not converge"
-    # worst is within tol exactly when every sub-identity is, so all(passed) decides.
-    return _build_report("b_reduction", {}, worst.lhs, worst.rhs, tol,
-                         sum(r.evaluations for r in subs), all(r.passed for r in subs), note)
+    return replace(worst, name="b_reduction", passed=all(r.passed for r in subs),
+                   evaluations=sum(r.evaluations for r in subs), note=note)
 
 
 def check_c_quadrature(params: MalmstenParams,
