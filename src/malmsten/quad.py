@@ -410,8 +410,6 @@ def integrate_semi_infinite(f: Callable[[float], float],
                 partial += term
                 if term < 0.0:
                     negative += term
-                if terms:
-                    terms[side].append(term)
             ends[side] = term
             up, down = ends
         return partial, partial - 2.0 * negative, n + n_up + n_down, up, down

@@ -27,6 +27,7 @@ their safety when threads build a cold level at once.
 import dataclasses
 import math
 import random
+import re
 import sys
 import threading
 
@@ -317,6 +318,31 @@ def test_nan_below_cut_message_matches_reference(cut):
         with pytest.raises(QuadratureError) as got:
             engine(f, *args)
         assert str(got.value) == str(expected.value)
+
+
+def test_level0_sides_are_the_same_length():
+    # Level 0 never reaches the loop that sums one side's surplus nodes
+    # alone, so the level-0 terms that fix the trim come from the paired
+    # loop only.
+    assert len(quad._nodes(0)[2]) == len(quad._nodes(0)[4])
+
+
+def test_nan_met_where_one_side_goes_on_alone():
+    # The up side is trimmed and the all-zero down side is not, so past
+    # the up side's limit the down side goes on alone.  Its first node
+    # below 1e-300 comes at level 5 (t = 6.78125), as its last node.
+    def f(x):
+        if x < 1e-300:
+            return float("nan")
+        return 0.0 if x < 1.0 else math.exp(-x)
+
+    x = quad._nodes(5)[4][-1]
+    assert x < 1e-300 <= min(quad._nodes(level)[4][-1] for level in range(5))
+    with pytest.raises(QuadratureError, match=re.escape(f"at x = {x!r}") + "$") as got:
+        integrate_semi_infinite(f)
+    with pytest.raises(QuadratureError) as expected:
+        reference_semi_infinite(f)
+    assert str(got.value) == str(expected.value)
 
 
 def _level0_exp_sinh_abscissae():
