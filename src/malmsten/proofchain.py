@@ -147,6 +147,11 @@ def _delta_excess(a: float) -> float:
 # ---------------------------------------------------------------------------
 # Integrand factories.  Shared with the command line driver, and written so
 # no probe point the engine can reach produces an overflow or NaN.
+#
+# Each integrand writes sech(y) out as specfun.sech's own formula,
+# e = exp(-|y|), 2 e / (1 + e^2), which gives the same bits and saves a
+# function call per node; tests/test_proofchain.py pins every copy bitwise
+# against sech.
 
 def delta_integrand(a: float) -> Callable[[float], float]:
     """ln(x^2 + a^2) / cosh(pi x), with ln(x^2+a^2) formed as
@@ -154,7 +159,8 @@ def delta_integrand(a: float) -> Callable[[float], float]:
     aa = abs(_checked_real(a, "a"))
 
     def f(x: float) -> float:
-        return 2.0 * math.log(math.hypot(x, aa)) * sech(math.pi * x)
+        e = math.exp(-abs(math.pi * x))
+        return 2.0 * math.log(math.hypot(x, aa)) * (2.0 * e / (1.0 + e * e))
 
     return f
 
@@ -163,7 +169,8 @@ def vardi_b_integrand() -> Callable[[float], float]:
     """ln(x) / cosh(x)."""
 
     def f(x: float) -> float:
-        return math.log(x) * sech(x)
+        e = math.exp(-abs(x))
+        return math.log(x) * (2.0 * e / (1.0 + e * e))
 
     return f
 
@@ -174,7 +181,29 @@ def malmsten_c_integrand(params: MalmstenParams) -> Callable[[float], float]:
     b = params.b
 
     def f(x: float) -> float:
-        return (ln_a + math.log(x)) * sech(b * x)
+        e = math.exp(-abs(b * x))
+        return (ln_a + math.log(x)) * (2.0 * e / (1.0 + e * e))
+
+    return f
+
+
+def _arctan_kernel_integrand(a: float) -> Callable[[float], float]:
+    """(4/pi) x arctan(e^{-pi x}) / (x^2 + a^2)."""
+    four_over_pi = 4.0 / math.pi
+    aa2 = a * a
+
+    def f(x: float) -> float:
+        return four_over_pi * x * math.atan(math.exp(-math.pi * x)) / (x * x + aa2)
+
+    return f
+
+
+def _sech_cosine_integrand(t: float) -> Callable[[float], float]:
+    """cos(t x) / cosh(pi x)."""
+
+    def f(x: float) -> float:
+        e = math.exp(-abs(math.pi * x))
+        return math.cos(t * x) * (2.0 * e / (1.0 + e * e))
 
     return f
 
@@ -189,7 +218,8 @@ def _t_domain_integrand(a: float) -> Callable[[float], float]:
             # where the completed integrand behaves like t/8.
             s = math.sinh(0.25 * t)
             return decay * 2.0 * s * s / (t * math.cosh(0.5 * t))
-        return decay * (1.0 - sech(0.5 * t)) / t
+        e = math.exp(-0.5 * t)  # t > 1, so no abs
+        return decay * (1.0 - 2.0 * e / (1.0 + e * e)) / t
 
     return f
 
@@ -239,9 +269,7 @@ def check_arctan_kernel(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
         raise ValueError("a must be nonzero")
     if a * a < sys.float_info.min:
         raise ValueError(f"a*a must not underflow the normal float range, got a = {a!r}")
-    return _quadrature_check("arctan_kernel", {"a": a},
-                             lambda x: 4.0 / math.pi * x * math.atan(math.exp(-math.pi * x))
-                             / (x * x + a * a),
+    return _quadrature_check("arctan_kernel", {"a": a}, _arctan_kernel_integrand(a),
                              _delta_excess(a), tol)
 
 
@@ -253,8 +281,7 @@ def check_sech_cosine_transform(t: float, tol: float = DEFAULT_TOL) -> IdentityR
     t = _checked_real(t, "t")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
-    return _quadrature_check("sech_cosine_transform", {"t": t},
-                             lambda x: math.cos(t * x) * sech(math.pi * x),
+    return _quadrature_check("sech_cosine_transform", {"t": t}, _sech_cosine_integrand(t),
                              0.5 * sech(0.5 * t), tol)
 
 

@@ -31,6 +31,12 @@ R' adds 1/2/((s + 1/4)(s + 3/4)) and Q subtracts
 (x/4 + 3/32)/(x (x + 1/2)(x + 1/4)(x + 3/4)).  At the threshold the
 first omitted series term is below 2^-56 of each result.
 
+Each series, digamma's included, is one nested Horner expression whose
+coefficients are unpacked from its tuple below, the one place they are
+written.  It performs the same floating-point operations in the same
+order as a loop over the reversed tuple would, so it gives the same
+bits without the loop's per-term overhead.
+
 All functions are pure and operate on ordinary floats.
 """
 
@@ -157,10 +163,9 @@ def digamma(x: float) -> float:
         x += 1.0
     inv = 1.0 / x
     inv2 = inv * inv
-    series = 0.0
-    for c in reversed(_DIGAMMA_COEFFS):
-        series = series * inv2 + c
-    series *= inv2
+    c0, c1, c2, c3, c4, c5, c6 = _DIGAMMA_COEFFS
+    series = ((((((c6 * inv2 + c5) * inv2 + c4) * inv2 + c3) * inv2 + c2) * inv2 + c1) * inv2
+              + c0) * inv2
     return math.log(x) - 0.5 * inv - series - shift
 
 
@@ -188,9 +193,9 @@ def _lgamma_ratio(s: float) -> float:
         ratio *= (s + 0.25) / (s + 0.75)
         s += 1.0
     inv2 = 1.0 / (s * s)
-    series = 0.0
-    for c in reversed(_LGAMMA_RATIO_COEFFS):
-        series = series * inv2 + c
+    c0, c1, c2, c3, c4, c5, c6, c7 = _LGAMMA_RATIO_COEFFS
+    series = ((((((c7 * inv2 + c6) * inv2 + c5) * inv2 + c4) * inv2 + c3) * inv2 + c2) * inv2
+              + c1) * inv2 + c0
     return 0.5 * math.log(s * ratio * ratio) + series * inv2
 
 
@@ -202,9 +207,9 @@ def _digamma_diff(s: float) -> float:
         s += 1.0
     inv = 1.0 / s
     inv2 = inv * inv
-    series = 0.0
-    for c in reversed(_DIGAMMA_DIFF_COEFFS):
-        series = series * inv2 + c
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _DIGAMMA_DIFF_COEFFS
+    series = (((((((c8 * inv2 + c7) * inv2 + c6) * inv2 + c5) * inv2 + c4) * inv2 + c3) * inv2
+               + c2) * inv2 + c1) * inv2 + c0
     return lift + inv * (0.5 + series * inv2)
 
 
@@ -216,7 +221,7 @@ def _digamma_quartet(x: float) -> float:
         x += 1.0
     w = x - 0.125
     inv2 = 1.0 / (w * w)
-    series = 0.0
-    for c in reversed(_DIGAMMA_QUARTET_COEFFS):
-        series = series * inv2 + c
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _DIGAMMA_QUARTET_COEFFS
+    series = ((((((((((c10 * inv2 + c9) * inv2 + c8) * inv2 + c7) * inv2 + c6) * inv2 + c5)
+                   * inv2 + c4) * inv2 + c3) * inv2 + c2) * inv2 + c1) * inv2 + c0)
     return series * inv2 - lift

@@ -32,6 +32,7 @@ from malmsten.proofchain import (
     run_full_chain,
 )
 from malmsten.quad import DEFAULT_TOLERANCE, ToleranceSpec
+from malmsten.specfun import sech
 
 A05_GRID = [0.25, 0.5, 1.0, 2.0, 4.0]
 # The A05 grid plus a negative point, zero, a point just above the
@@ -57,6 +58,52 @@ def _assert_report_consistent(rep: IdentityReport):
         assert rep.rel_err == 0.0
     if not rep.note:
         assert rep.passed == (rep.abs_err <= rep.tol or rep.rel_err <= rep.tol)
+
+
+# x from 1e-300 to 1e3, twenty points per decade.
+PIN_XS = [10.0 ** (k / 20.0) for k in range(-6000, 61)]
+
+
+def _t_domain_reference(a):
+    aa = abs(a)
+
+    def f(t):
+        decay = math.exp(-aa * t)
+        if t <= 1.0:
+            s = math.sinh(0.25 * t)
+            return decay * 2.0 * s * s / (t * math.cosh(0.5 * t))
+        return decay * (1.0 - sech(0.5 * t)) / t
+
+    return f
+
+
+# (integrand as the package builds it, the same integrand written with
+# specfun.sech and the unhoisted constants) for each integrand whose sech
+# is written out inline.
+INLINED_INTEGRANDS = (
+    [(f"delta a={a}", delta_integrand(a),
+      lambda x, a=a: 2.0 * math.log(math.hypot(x, abs(a))) * sech(math.pi * x))
+     for a in (0.0, -1e-200, 0.5, 3.0, 1e150)]
+    + [("vardi", pc.vardi_b_integrand(), lambda x: math.log(x) * sech(x))]
+    + [(f"c a={a} b={b}", pc.malmsten_c_integrand(MalmstenParams(a, b)),
+        lambda x, a=a, b=b: (math.log(a) + math.log(x)) * sech(b * x))
+       for a, b in ((1.0, 1.0), (0.01, 1e-10), (1e5, 0.3), (2.0, 1e6))]
+    + [(f"arctan a={a}", pc._arctan_kernel_integrand(a),
+        lambda x, a=a: 4.0 / math.pi * x * math.atan(math.exp(-math.pi * x)) / (x * x + a * a))
+       for a in (1e-150, -0.25, 1.0, 7e3)]
+    + [(f"sech_cosine t={t}", pc._sech_cosine_integrand(t),
+        lambda x, t=t: math.cos(t * x) * sech(math.pi * x))
+       for t in (0.0, 1.0, 37.5, 1e6)]
+    + [(f"t_domain a={a}", pc._t_domain_integrand(a), _t_domain_reference(a))
+       for a in (2e-3, -1.0, 1e3, 1e12)]
+)
+
+
+@pytest.mark.parametrize("label, inlined, reference", INLINED_INTEGRANDS,
+                         ids=[case[0] for case in INLINED_INTEGRANDS])
+def test_inlined_sech_keeps_the_bits(label, inlined, reference):
+    bad = [x for x in PIN_XS if inlined(x).hex() != reference(x).hex()]
+    assert not bad, bad[:5]
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, -2.0, 10.0])

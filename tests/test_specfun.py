@@ -229,3 +229,69 @@ def test_kernels_match_the_public_functions():
         assert math.isclose(specfun._digamma_quartet(x),
                             digamma(x) - digamma(x + 0.5) - digamma(x + 0.25) + digamma(x + 0.75),
                             rel_tol=1e-13, abs_tol=1e-14)
+
+
+def _loop_horner(coeffs, inv2):
+    series = 0.0
+    for c in reversed(coeffs):
+        series = series * inv2 + c
+    return series
+
+
+def _digamma_reference(x):
+    shift = 0.0
+    while x < specfun._SHIFT_THRESHOLD:
+        shift += 1.0 / x
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    series = _loop_horner(specfun._DIGAMMA_COEFFS, inv2) * inv2
+    return math.log(x) - 0.5 * inv - series - shift
+
+
+def _lgamma_ratio_reference(s):
+    ratio = 1.0
+    while s < specfun._LIFT_THRESHOLD:
+        ratio *= (s + 0.25) / (s + 0.75)
+        s += 1.0
+    inv2 = 1.0 / (s * s)
+    return 0.5 * math.log(s * ratio * ratio) + _loop_horner(specfun._LGAMMA_RATIO_COEFFS, inv2) * inv2
+
+
+def _digamma_diff_reference(s):
+    lift = 0.0
+    while s < specfun._LIFT_THRESHOLD:
+        lift += 0.5 / ((s + 0.25) * (s + 0.75))
+        s += 1.0
+    inv = 1.0 / s
+    inv2 = inv * inv
+    return lift + inv * (0.5 + _loop_horner(specfun._DIGAMMA_DIFF_COEFFS, inv2) * inv2)
+
+
+def _digamma_quartet_reference(x):
+    lift = 0.0
+    while x < specfun._LIFT_THRESHOLD:
+        lift += (0.25 * x + 0.09375) / (x * (x + 0.5) * (x + 0.25) * (x + 0.75))
+        x += 1.0
+    w = x - 0.125
+    inv2 = 1.0 / (w * w)
+    return _loop_horner(specfun._DIGAMMA_QUARTET_COEFFS, inv2) * inv2 - lift
+
+
+# x in (0, 40]: 10,000 points below the lift threshold, 3,000 above it,
+# and a few next to 0 and to the threshold.
+KERNEL_PIN_XS = ([k / 1000 for k in range(1, 10001)] + [10.0 + k / 100 for k in range(1, 3001)]
+                 + [1e-300, 1e-12, 0.5e-3, 9.999999999999998, 10.000000000000002])
+
+
+@pytest.mark.parametrize("kernel, reference", [
+    (digamma, _digamma_reference),
+    (specfun._lgamma_ratio, _lgamma_ratio_reference),
+    (specfun._digamma_diff, _digamma_diff_reference),
+    (specfun._digamma_quartet, _digamma_quartet_reference),
+], ids=["digamma", "lgamma_ratio", "digamma_diff", "digamma_quartet"])
+def test_unrolled_series_keep_the_bits(kernel, reference):
+    # Each series is one nested expression; a loop over the reversed
+    # coefficient tuple is the same sum, operation for operation.
+    bad = [x for x in KERNEL_PIN_XS if kernel(x).hex() != reference(x).hex()]
+    assert not bad, bad[:5]
