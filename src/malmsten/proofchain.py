@@ -209,17 +209,20 @@ def _sech_cosine_integrand(t: float) -> Callable[[float], float]:
 
 
 def _t_domain_integrand(a: float) -> Callable[[float], float]:
+    """e^{-y} (1 - sech(t/2)) / y with t = y/|a|: the t-domain integrand
+    e^{-|a| t} (1 - sech(t/2)) / t in the variable y = |a| t."""
     aa = abs(float(a))
 
-    def f(t: float) -> float:
-        decay = math.exp(-aa * t)
+    def f(y: float) -> float:
+        decay = math.exp(-y)
+        t = y / aa
         if t <= 1.0:
             # 1 - sech(u) = 2 sinh(u/2)^2 / cosh(u): no cancellation near 0,
-            # where the completed integrand behaves like t/8.
+            # where the completed integrand behaves like y/(8 a^2).
             s = math.sinh(0.25 * t)
-            return decay * 2.0 * s * s / (t * math.cosh(0.5 * t))
+            return decay * 2.0 * s * s / (y * math.cosh(0.5 * t))
         e = math.exp(-0.5 * t)  # t > 1, so no abs
-        return decay * (1.0 - 2.0 * e / (1.0 + e * e)) / t
+        return decay * (1.0 - 2.0 * e / (1.0 + e * e)) / y
 
     return f
 
@@ -288,6 +291,13 @@ def check_sech_cosine_transform(t: float, tol: float = DEFAULT_TOL) -> IdentityR
 def check_t_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     """int_0^inf e^{-|a| t} (1 - sech(t/2)) / t dt, whose integrand is
     completed by its limit 0 at t = 0, against delta(a) - ln|a|.
+
+    The quadrature runs in y = |a| t, where the integral is
+    int_0^inf e^{-y} (1 - sech(y/(2|a|))) / y dy.  In t the mass sits
+    near t = 1/|a|, and the exp-sinh nodes, centred on 1, spend levels
+    finding it: 346 to 3,008 evaluations for |a| from 1e3 to 1e12 at a
+    relative tolerance of 1e-12.  In y the e^{-y} factor puts it near
+    y = 1 for every a, and the same quadrature takes 199.
 
     Requires |a| > SMALL_A_CUTOFF; below that the integrand decays too
     slowly for the quadrature to be trusted.

@@ -14,7 +14,8 @@ the ends of that range must also converge at every tolerance.
 The closed forms delta_closed and delta_derivative, and the digamma
 combination behind the p_integral step, are checked the same way over
 the whole range of |a| they accept, with working digits that grow with
-the cancellation in their references.  ln_gamma is swept over the x it
+the cancellation in their references, and so is the t-domain form of
+delta(a) - ln a, in the scale its step integrates it in.  ln_gamma is swept over the x it
 accepts, densely next to its zeros at x = 1 and 2, and digamma likewise
 next to its zero at x = 1.4616....
 """
@@ -231,3 +232,18 @@ def test_p_integral_quadrature_side(a, rel):
         ref = bracket(0) - bracket(1)
         err = float(abs((mpmath.mpf(proofchain.check_p_integral(a, tol=1e-14).lhs) - ref) / ref))
     assert err <= rel
+
+
+@pytest.mark.parametrize("a", [2e-3, 1.0, 1e3, 1e6, 1e12])
+def test_t_domain_in_its_natural_scale(a):
+    # In y = |a| t the mass sits near y = 1 for every a.  In t it sat
+    # near 1/|a|, and the same quadrature took 346 to 3,008 evaluations
+    # from a = 1e3 up.
+    res = integrate_semi_infinite(proofchain._t_domain_integrand(a),
+                                  ToleranceSpec(rel_tol=1e-12, abs_tol=1e-300))
+    with mpmath.workdps(_digits(a * a)):
+        ref = _delta(a) - mpmath.log(a)
+        err = float(abs((mpmath.mpf(res.value) - ref) / ref))
+    assert res.converged
+    assert err <= 1e-14
+    assert res.evaluations <= 250

@@ -67,12 +67,13 @@ PIN_XS = [10.0 ** (k / 20.0) for k in range(-6000, 61)]
 def _t_domain_reference(a):
     aa = abs(a)
 
-    def f(t):
-        decay = math.exp(-aa * t)
+    def f(y):
+        decay = math.exp(-y)
+        t = y / aa
         if t <= 1.0:
             s = math.sinh(0.25 * t)
-            return decay * 2.0 * s * s / (t * math.cosh(0.5 * t))
-        return decay * (1.0 - sech(0.5 * t)) / t
+            return decay * 2.0 * s * s / (y * math.cosh(0.5 * t))
+        return decay * (1.0 - sech(0.5 * t)) / y
 
     return f
 
