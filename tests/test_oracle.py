@@ -236,9 +236,8 @@ def test_p_integral_quadrature_side(a, rel):
 
 @pytest.mark.parametrize("a", [2e-3, 1.0, 1e3, 1e6, 1e12])
 def test_t_domain_in_its_natural_scale(a):
-    # In y = |a| t the mass sits near y = 1 for every a.  In t it sat
-    # near 1/|a|, and the same quadrature took 346 to 3,008 evaluations
-    # from a = 1e3 up.
+    # In y = |a| t the mass sits near y = 1 for every a, so the cost must
+    # not grow with a as it does in t, where the mass sits near 1/|a|.
     res = integrate_semi_infinite(proofchain._t_domain_integrand(a),
                                   ToleranceSpec(rel_tol=1e-12, abs_tol=1e-300))
     with mpmath.workdps(_digits(a * a)):

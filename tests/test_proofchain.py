@@ -554,8 +554,5 @@ def test_derived_quadrature_tolerance_keeps_every_step(tol):
 def test_a05_evaluation_count(tol, evaluations):
     # Integrand evaluations are deterministic, so they pin what the
     # derived quadrature tolerance saves: 6,216 at tol 1e-8 when every
-    # quadrature ran at DEFAULT_TOLERANCE.  With t_domain integrated in
-    # y = |a| t the counts went 4,933 -> 4,741 at tol 1e-8 and
-    # 13,916 -> 14,012 at 1e-14, where that step costs 199 instead of 103
-    # at a = 4.
+    # quadrature ran at DEFAULT_TOLERANCE.
     assert run_full_chain(A05_GRID, tol=tol).total_evaluations == evaluations
