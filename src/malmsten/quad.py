@@ -17,21 +17,22 @@ or hi are dropped (the mass they carry is below roundoff), and the scan
 stops once the transformed weight underflows below 1e-300.
 
 Each transform has two sides, t > 0 and t < 0: right and left of the
-midpoint for tanh-sinh, up (x > 1) and down (x < 1) for exp-sinh.
-Level 0 (h = 1) evaluates every node of both sides and also sums
-|w*f|.  Each side is then trimmed: every later level sums it only at t
-below one level-0 step past its outermost node whose |w*f| exceeds
-eps * (the level's sum of |w*f|), because past that node the terms are
-below roundoff.  A side whose own level-0 terms are all 0, or any side
-when that sum is not finite, is not trimmed, and a side whose outermost
+midpoint for tanh-sinh, up (x > 1) and down (x < 1) for exp-sinh.  One
+sweep sums a level for both: its center node (level 0 only), then the
+two sides in pairs outward, right before left and up before down, then
+the rest of the longer side.  Level 0 (h = 1) evaluates every node of
+both sides and also sums |w*f|.  Each side is then trimmed: every later
+level L sums only its first limit * 2**(L-1) nodes, those with t below
+one level-0 step past its outermost node whose |w*f| exceeds eps * (the
+level's sum of |w*f|), because past that node the terms are below
+roundoff.  A side whose own level-0 terms are all 0, or any side when
+that sum is not finite, is not trimmed, and a side whose outermost
 level-0 node is itself significant has nothing to trim.  A call that
-trims neither side evaluates every node of the tables.  A level sums
-its center node (level 0 only), then the two sides in pairs outward,
-right before left and up before down, then the rest of the longer side.
-On the benchmark's quad inputs trimming halves the integrand calls.
-One consequence: f is never called at later-level nodes beyond a
-side's limit, so a NaN that only such nodes would meet goes unseen.
-A NaN at any level-0 node still raises.
+trims neither side evaluates every node of the tables.  On the
+benchmark's quad inputs trimming halves the integrand calls.  One
+consequence: f is never called at later-level nodes beyond a side's
+limit, so a NaN that only such nodes would meet goes unseen.  A NaN at
+any level-0 node still raises.
 
 A converged result reports as error_estimate the largest of
 
@@ -58,25 +59,28 @@ agree on 0 and integrate_finite returns converged=True with value 0
 and error_estimate 0 after 19 evaluations; the integral is 1.77e-3.
 
 The nodes and weights of a level do not depend on the integrand, so
-one scan over t builds both transforms' tables for a level on first
-use, and every later call sums them:
+they are tabulated once and every later call sums the tables.  One scan
+over t builds, per level, exp-sinh's (x, w) for the up and the down
+side, with every truncation applied, and tanh-sinh's (d, w0) for
+halfspan 1, where d is the distance from a node to its endpoint and w0
+its weight.  These are cached by functools.cache.  ToleranceSpec caps
+max_level at 12, so at most 13 levels are ever kept: 25,279 tanh-sinh
+nodes and 55,431 exp-sinh ones with the center, about 1.3 MB.
 
-    tanh-sinh:  (d, w0) for halfspan 1, where d is the distance from a
-                node to its endpoint and w0 its weight.  A call scales
-                both by its halfspan and keeps the per-node weight floor
-                and endpoint checks, which depend on the interval;
-    exp-sinh:   (x, w) for the up side and for the down side, with
-                every truncation applied.
-
-No table holds the t = 0 node: at level 0 each sweep sums it itself,
-the tanh-sinh midpoint or the exp-sinh center x = 1 with weight pi/2.
-Tables are arrays of doubles, 16 bytes per node, cached by
-functools.cache.  ToleranceSpec caps max_level at 12, so at most 13
-levels are ever kept: 25,279 tanh-sinh nodes and 55,431 exp-sinh ones
-with the center, about 1.3 MB.  A process that only integrates on
-(0, inf) builds the tanh-sinh tables too.  Two threads that ask for an
-uncached level at once may each build it; the cache keeps one table,
-and both tables are identical.
+tanh-sinh's (x, w) tables depend on the interval.  They are built from
+(d, w0) per (lo, hi, level), with the same per-node expressions
+(hi - halfspan*d, lo + halfspan*d, w0*halfspan): each side ends where
+its abscissa first rounds onto its endpoint, and both end where the
+weight first falls below the floor.  A functools.lru_cache keeps the 13
+built last, one interval's levels.  A table takes at most 24 bytes per
+node (a weight and an abscissa per side) and level 12, the longest, has
+12,640 nodes, so the cache holds at most 3.9 MB; on (0, 1) all 13
+levels take 0.50 MB.  Every integrate_finite call in the package is on
+(0, 1).  A call on an interval the cache does not hold first builds
+whole tables for every level it reaches, trimmed or not; on 900 calls
+over 300 one-off intervals with cheap integrands that doubled their
+time against the same calls on cached tables.  Two threads that ask for an uncached table at once may each build it;
+the cache keeps one, and both are identical.
 
 Results are deterministic: identical inputs produce bit-identical
 values, estimates and evaluation counts, whether a table was cold or
@@ -107,6 +111,7 @@ _EXP_ARG_CAP = 667.0    # keeps exp-sinh nodes and weights finite (x <= ~1.3e289
 _REL_TOL_FLOOR = 1e-14
 _EPS = 2.0 ** -52
 _ROUNDOFF = 8.0         # c of the estimate's roundoff floor c * eps * h * sum|w*f|
+_INTERVAL_TABLES = 13   # tanh-sinh tables kept: levels 0-12 of one interval
 
 
 class QuadratureError(RuntimeError):
@@ -162,11 +167,14 @@ def _limits(terms: tuple, abs_sum: float) -> list:
     terms[side] holds the level-0 w*f of that side, outward from t = 1;
     abs_sum is the level's whole sum of |w*f|, the center node included.
     A side is cut one step past its outermost node with |w*f| above
-    eps * abs_sum.  Its limit stays inf when its own terms are all 0 or
-    abs_sum is not finite, because the level then says nothing about
-    where it ends, or when the cut would fall past its last level-0 node.
+    eps * abs_sum.  When its own terms are all 0 or abs_sum is not
+    finite, the level says nothing about where it ends, and its limit is
+    one step past its last level-0 node.  That keeps the whole side: the
+    rule that cut the next level-0 node, the weight floor, the exp-sinh
+    argument cap or an abscissa rounding onto its endpoint, cuts every
+    node further out at every level too.
     """
-    limits = [math.inf, math.inf]
+    limits = [len(side_terms) + 1 for side_terms in terms]
     if math.isfinite(abs_sum):
         threshold = _EPS * abs_sum
         for side, side_terms in enumerate(terms):
@@ -174,30 +182,95 @@ def _limits(terms: tuple, abs_sum: float) -> list:
             if any(side_terms):
                 while k and abs(side_terms[k - 1]) <= threshold:
                     k -= 1
-                if k < len(side_terms):
-                    limits[side] = k + 1
+                limits[side] = k + 1
     return limits
 
 
-def _refine(sweep: Callable[[int, list, tuple], tuple], tol: ToleranceSpec) -> QuadratureResult:
+def _sweep(f: Callable[[float], float], center, sides: tuple, stops, terms) -> tuple:
+    """Sum w*f over one level's nodes.
+
+    center is the t = 0 node (x, w), or None; sides is a pair of (x, w)
+    tables, outward from the center.  Side s is summed over its first
+    stops[s] nodes, or all of them where stops[s] is None.  The sum runs
+    over the center, then the two sides in pairs outward, side 0 first,
+    then the rest of the longer side.  terms, None or a pair of lists,
+    receives each side's w*f.  Returns (sum of w*f, sum of |w*f|, number
+    of f calls, w*f at side 0's outermost node, the same for side 1).
+    """
+    partial = negative = 0.0               # sum of w*f, and of its negative terms
+    n = 0
+    if center is not None:
+        x, w = center
+        fx = f(x)
+        if fx != fx:
+            raise _nan_error(x)
+        partial += w * fx
+        if partial < 0.0:
+            negative = partial
+        n = 1
+    (xs0, ws0), (xs1, ws1) = sides
+    stop0, stop1 = stops
+    xs0, ws0, xs1, ws1 = xs0[:stop0], ws0[:stop0], xs1[:stop1], ws1[:stop1]
+    end0 = end1 = 0.0                      # w*f at each side's outermost node
+    for x, w, y, v in zip(xs0, ws0, xs1, ws1):
+        fx = f(x)
+        if fx != fx:
+            raise _nan_error(x)
+        end0 = w * fx
+        partial += end0
+        if end0 < 0.0:
+            negative += end0
+        fx = f(y)
+        if fx != fx:
+            raise _nan_error(y)
+        end1 = v * fx
+        partial += end1
+        if end1 < 0.0:
+            negative += end1
+        if terms:
+            terms[0].append(end0)
+            terms[1].append(end1)
+    n0 = len(xs0)
+    n1 = len(xs1)
+    if n0 != n1:                           # the side with more nodes goes on alone
+        both, side, xs, ws = (n1, 0, xs0, ws0) if n0 > n1 else (n0, 1, xs1, ws1)
+        for x, w in zip(xs[both:], ws[both:]):
+            fx = f(x)
+            if fx != fx:
+                raise _nan_error(x)
+            term = w * fx
+            partial += term
+            if term < 0.0:
+                negative += term
+            if terms:
+                terms[side].append(term)
+        if side:
+            end1 = term
+        else:
+            end0 = term
+    return partial, partial - 2.0 * negative, n + n0 + n1, end0, end1
+
+
+def _refine(f: Callable[[float], float], tables: Callable[[int], tuple],
+            tol: ToleranceSpec) -> QuadratureResult:
     """Drive level doubling over a two-sided node sum.
 
-    sweep(level, limits, terms) sums over the nodes that are new at step
-    h = 2**-level (all of them at level 0, the center node first; odd
-    indexed ones after) and returns (sum of w*f, sum of |w*f|, number of
-    f calls, and w*f at each side's outermost node).  After level 0 each
-    side sums only its nodes with t below limits[side], in level-0 steps;
-    terms, given at level 0 only, is a pair of lists that receive each
-    side's w*f.  The level-L value is h_L times the running total.
+    tables(level) returns the (center, sides) that _sweep sums at step
+    h = 2**-level: every node at level 0, the center first; the odd
+    indexed ones after.  After level 0 each side sums only its nodes
+    with t below its limit, that is limit * 2**(level-1) nodes.  The
+    level-L value is h_L times the running total.
     """
     terms = ([], [])
-    total, abs_total, count, _, _ = sweep(0, None, terms)
-    limits = _limits(terms, abs_total)
+    total, abs_total, count, _, _ = _sweep(f, *tables(0), (None, None), terms)
+    limit0, limit1 = _limits(terms, abs_total)
     value = total
     diff = math.inf
     for level in range(1, tol.max_level + 1):
         h = 0.5 ** level
-        partial, abs_partial, n, end0, end1 = sweep(level, limits, None)
+        per_step = 1 << (level - 1)        # nodes new at this level per level-0 step
+        stops = (limit0 * per_step, limit1 * per_step)
+        partial, abs_partial, n, end0, end1 = _sweep(f, *tables(level), stops, None)
         total += partial
         abs_total += abs_partial
         count += n
@@ -217,15 +290,12 @@ def _nodes(level: int) -> tuple:
 
     Returns (d, w0) for tanh-sinh at halfspan 1, then (x, w) for the
     exp-sinh up side (x > 1) and (x, w) for its down side (x < 1), each
-    with k ascending and without the t = 0 node, which the sweeps sum
-    themselves.  Each array stops at its own rule: tanh-sinh at the
-    first zero w0, which is below the floor for any finite halfspan; the
-    up side once (pi/2) sinh t passes _EXP_ARG_CAP; the down side, which
-    runs longest at every level, once w falls below _WEIGHT_FLOOR, and
-    that ends the scan.  A tanh-sinh call also stops where d has
-    underflowed to 0, because both of that node's abscissae round onto
-    the endpoints.  The exp-sinh arrays are memoryviews, so a call
-    slices out a side without a copy.
+    with k ascending and without the t = 0 node.  Each array stops at
+    its own rule: tanh-sinh at the first zero w0, which is below the
+    floor for any finite halfspan; the up side once (pi/2) sinh t passes
+    _EXP_ARG_CAP; the down side, which runs longest at every level, once
+    w falls below _WEIGHT_FLOOR, and that ends the scan.  The exp-sinh
+    arrays are memoryviews, so a sweep slices a side without a copy.
     """
     h = 0.5 ** level
     step = 1 if level == 0 else 2
@@ -255,6 +325,56 @@ def _nodes(level: int) -> tuple:
     return (ds, w0s) + tuple(map(memoryview, (up_x, up_w, down_x, down_w)))
 
 
+@functools.cache
+def _exp_sinh_tables(level: int) -> tuple:
+    """exp-sinh's (center, sides) at `level`: the center x = 1 with weight
+    pi/2 at level 0, the up side, then the down side."""
+    _, _, up_x, up_w, down_x, down_w = _nodes(level)
+    return (1.0, _HALF_PI) if level == 0 else None, ((up_x, up_w), (down_x, down_w))
+
+
+@functools.lru_cache(maxsize=_INTERVAL_TABLES)
+def _tanh_sinh_tables(lo: float, hi: float, level: int) -> tuple:
+    """tanh-sinh's (center, sides) on (lo, hi) at `level`.
+
+    Side 0 holds the right nodes x = hi - halfspan*d, side 1 the left
+    ones x = lo + halfspan*d, both with weight w0*halfspan, from
+    _nodes(level)'s (d, w0).  Each side ends where its abscissa first
+    rounds onto its endpoint, and both end where the weight first falls
+    below _WEIGHT_FLOOR.  The center (mid, (pi/2)*halfspan) is kept at
+    level 0 when its weight is above the floor and mid lies strictly
+    inside, which a tiny span can prevent.
+    """
+    halfspan = 0.5 * (hi - lo)
+    if not math.isfinite(halfspan):        # hi - lo overflowed
+        halfspan = 0.5 * hi - 0.5 * lo
+    center = None
+    if level == 0:
+        mid = lo + halfspan
+        if _HALF_PI * halfspan >= _WEIGHT_FLOOR and lo < mid < hi:
+            center = (mid, _HALF_PI * halfspan)
+    right, left, ws = array("d"), array("d"), array("d")
+    right_open = left_open = True
+    for d, w0 in zip(*_nodes(level)[:2]):
+        w = w0 * halfspan
+        if w < _WEIGHT_FLOOR:
+            break
+        ws.append(w)
+        off = halfspan * d
+        if right_open:
+            x = hi - off
+            right_open = x < hi
+            if right_open:
+                right.append(x)
+        if left_open:
+            x = lo + off
+            left_open = x > lo
+            if left_open:
+                left.append(x)
+    ws = memoryview(ws)
+    return center, ((memoryview(right), ws[:len(right)]), (memoryview(left), ws[:len(left)]))
+
+
 def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
                      tol: ToleranceSpec = DEFAULT_TOLERANCE) -> QuadratureResult:
     """Integrate f over the open interval (lo, hi) by tanh-sinh quadrature.
@@ -265,6 +385,11 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     from f aborts with QuadratureError; failure to converge within
     tol.max_level levels, or a span too narrow for any node to fall
     strictly inside it, is reported via converged=False.
+
+    The node tables of the last 13 (lo, hi, level) used are kept, which
+    is every level of one interval.  A call on an interval they do not
+    hold builds its tables first, which can double the time of a call
+    with a cheap integrand.
     """
     if any(isinstance(v, float) and not math.isfinite(v) for v in (lo, hi)):
         raise ValueError(f"bounds must be finite, got [{lo!r}, {hi!r}]")
@@ -272,79 +397,7 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     hi = _checked_real(hi, "hi")
     if not lo < hi:
         raise ValueError(f"lower bound must be strictly below upper, got [{lo!r}, {hi!r}]")
-    halfspan = 0.5 * (hi - lo)
-    if not math.isfinite(halfspan):        # hi - lo overflowed
-        halfspan = 0.5 * hi - 0.5 * lo
-    mid = lo + halfspan
-
-    def sweep(level: int, limits, terms) -> tuple:
-        partial = negative = 0.0           # sum of w*f, and of its negative terms
-        n = 0
-        right = left = 0.0                 # w*f at each side's outermost node
-        if level == 0:
-            w = _HALF_PI * halfspan
-            if w < _WEIGHT_FLOOR:
-                return 0.0, 0.0, 0, 0.0, 0.0
-            if lo < mid < hi:              # a tiny span can round mid onto an endpoint
-                fx = f(mid)
-                n += 1
-                if fx != fx:
-                    raise _nan_error(mid)
-                partial += w * fx
-                if partial < 0.0:
-                    negative = partial
-        ds, w0s = _nodes(level)[:2]
-        # A trimmed side ends at the abscissa of its limit, a level-0 node.
-        right_end = hi
-        left_end = lo
-        if level:
-            ds0 = _nodes(0)[0]
-            if limits[0] < math.inf:
-                right_end = hi - halfspan * ds0[limits[0] - 1]
-            if limits[1] < math.inf:
-                left_end = lo + halfspan * ds0[limits[1] - 1]
-        right_alive = True
-        left_alive = True
-        for d, w0 in zip(ds, w0s):
-            w = w0 * halfspan
-            if w < _WEIGHT_FLOOR:
-                break
-            off = halfspan * d
-            if right_alive:
-                x = hi - off
-                if x >= right_end:
-                    right_alive = False
-                else:
-                    fx = f(x)
-                    n += 1
-                    if fx != fx:
-                        raise _nan_error(x)
-                    right = w * fx
-                    partial += right
-                    if right < 0.0:
-                        negative += right
-                    if terms:
-                        terms[0].append(right)
-            if left_alive:
-                x = lo + off
-                if x <= left_end:
-                    left_alive = False
-                else:
-                    fx = f(x)
-                    n += 1
-                    if fx != fx:
-                        raise _nan_error(x)
-                    left = w * fx
-                    partial += left
-                    if left < 0.0:
-                        negative += left
-                    if terms:
-                        terms[1].append(left)
-            if not (left_alive or right_alive):
-                break
-        return partial, partial - 2.0 * negative, n, right, left
-
-    return _refine(sweep, tol)
+    return _refine(f, functools.partial(_tanh_sinh_tables, lo, hi), tol)
 
 
 def integrate_semi_infinite(f: Callable[[float], float],
@@ -355,63 +408,4 @@ def integrate_semi_infinite(f: Callable[[float], float],
     and at least exponential or x**-2 decay at infinity.  Error
     semantics match integrate_finite.
     """
-
-    def sweep(level: int, limits, terms) -> tuple:
-        _, _, up_x, up_w, down_x, down_w = _nodes(level)
-        partial = negative = 0.0           # sum of w*f, and of its negative terms
-        n = 0
-        if level == 0:                     # the center x(0) = 1, weight pi/2, comes first
-            fx = f(1.0)
-            if fx != fx:
-                raise _nan_error(1.0)
-            partial += _HALF_PI * fx
-            if partial < 0.0:
-                negative = partial
-            n = 1
-        n_up = len(up_x)
-        n_down = len(down_x)
-        if level:
-            per_step = 1 << (level - 1)    # nodes new at this level per level-0 step
-            if limits[0] * per_step < n_up:
-                n_up = limits[0] * per_step
-            if limits[1] * per_step < n_down:
-                n_down = limits[1] * per_step
-        both = n_up if n_up < n_down else n_down
-        up = down = 0.0                    # w*f at each side's outermost node
-        for x, w, y, v in zip(up_x[:both], up_w[:both], down_x[:both], down_w[:both]):
-            fx = f(x)
-            if fx != fx:
-                raise _nan_error(x)
-            up = w * fx
-            partial += up
-            if up < 0.0:
-                negative += up
-            fx = f(y)
-            if fx != fx:
-                raise _nan_error(y)
-            down = v * fx
-            partial += down
-            if down < 0.0:
-                negative += down
-            if terms:
-                terms[0].append(up)
-                terms[1].append(down)
-        if n_up != n_down:                 # the side with more nodes goes on alone
-            ends = [up, down]
-            if n_up > both:
-                side, xs, ws, stop = 0, up_x, up_w, n_up
-            else:
-                side, xs, ws, stop = 1, down_x, down_w, n_down
-            for x, w in zip(xs[both:stop], ws[both:stop]):
-                fx = f(x)
-                if fx != fx:
-                    raise _nan_error(x)
-                term = w * fx
-                partial += term
-                if term < 0.0:
-                    negative += term
-            ends[side] = term
-            up, down = ends
-        return partial, partial - 2.0 * negative, n + n_up + n_down, up, down
-
-    return _refine(sweep, tol)
+    return _refine(f, _exp_sinh_tables, tol)

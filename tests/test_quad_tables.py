@@ -14,14 +14,16 @@ engine now does with them:
               last level.  Each level's sum|w*f| is formed as its sum of
               w*f minus twice the sum of its negative terms.
 
-The engine sums the same products in the same order, so results must
-agree bit for bit: compared by repr, value, estimate, evaluation count
+The engine sums the same products in the same order from cached
+tables (tanh-sinh's built per interval from its halfspan-1 nodes), so
+results must agree bit for bit: compared by repr, value, estimate, evaluation count
 and verdict.  The one intended difference is a call that evaluates f
 nowhere, which the engine reports as converged=False with an infinite
 estimate.
 
-The remaining tests pin the tables' size under the 12-level cap and
-their safety when threads build a cold level at once.
+The remaining tests pin the tables' size under the 12-level cap, the
+bound on the per-interval tanh-sinh tables and their use by the chain,
+and the tables' safety when threads build a cold level at once.
 """
 
 import dataclasses
@@ -321,9 +323,11 @@ def test_nan_below_cut_message_matches_reference(cut):
 
 
 def test_level0_sides_are_the_same_length():
-    # Level 0 never reaches the loop that sums one side's surplus nodes
-    # alone, so the level-0 terms that fix the trim come from the paired
-    # loop only.
+    # exp-sinh's level 0 never reaches the loop that sums one side's
+    # surplus nodes alone, so its level-0 terms that fix the trim come
+    # from the paired loop only.  tanh-sinh's do not: on (0, 1) its right
+    # side has 3 level-0 nodes and its left side 6, so the surplus loop
+    # records the left side's last 3 terms.
     assert len(quad._nodes(0)[2]) == len(quad._nodes(0)[4])
 
 
@@ -397,6 +401,8 @@ def _node_counts():
 
 def _clear_tables():
     quad._nodes.cache_clear()
+    quad._exp_sinh_tables.cache_clear()
+    quad._tanh_sinh_tables.cache_clear()
 
 
 @pytest.fixture
@@ -415,6 +421,22 @@ def _divergent_sweep(max_level):
 def test_tables_hold_levels_up_to_twelve(cold_tables):
     _divergent_sweep(12)
     assert _node_counts() == (25_279, 55_431)
+
+
+def test_interval_tables_stay_bounded_and_serve_the_chain(cold_tables):
+    test_finite_matches_reference()
+    assert quad._tanh_sinh_tables.cache_info().currsize <= 13
+    # Right and left node counts of the (0, 1) tables, levels 0 to 12.
+    # The right side ends where 1 - d/2 rounds onto 1, the left where
+    # the weight falls below the floor.
+    assert [tuple(len(xs) for xs, _ in quad._tanh_sinh_tables(0.0, 1.0, level)[1])
+            for level in range(13)] == [
+        (3, 6), (3, 6), (6, 12), (13, 24), (25, 49), (51, 98), (102, 195), (203, 390),
+        (406, 780), (812, 1560), (1624, 3121), (3249, 6242), (6498, 12484)]
+    _clear_tables()
+    proofchain.run_full_chain([0.25, 0.5, 1.0, 2.0, 4.0])
+    info = quad._tanh_sinh_tables.cache_info()
+    assert info.hits > 0 and info.misses <= 13
 
 
 def test_levels_above_twelve_are_rejected():
