@@ -65,7 +65,8 @@ side, with every truncation applied, and tanh-sinh's (d, w0) for
 halfspan 1, where d is the distance from a node to its endpoint and w0
 its weight.  These are cached by functools.cache.  ToleranceSpec caps
 max_level at 12, so at most 13 levels are ever kept: 25,279 tanh-sinh
-nodes and 55,431 exp-sinh ones with the center, about 1.3 MB.
+nodes and 55,431 exp-sinh ones with the center, about 1.3 MB.  A
+process that only integrates on (0, inf) builds the tanh-sinh ones too.
 
 tanh-sinh's (x, w) tables depend on the interval.  They are built from
 (d, w0) per (lo, hi, level), with the same per-node expressions
@@ -79,7 +80,9 @@ levels take 0.50 MB.  Every integrate_finite call in the package is on
 (0, 1).  A call on an interval the cache does not hold first builds
 whole tables for every level it reaches, trimmed or not; on 900 calls
 over 300 one-off intervals with cheap integrands that doubled their
-time against the same calls on cached tables.  Two threads that ask for an uncached table at once may each build it;
+time against the same calls on cached tables.
+
+Two threads that ask for an uncached table at once may each build it;
 the cache keeps one, and both are identical.
 
 Results are deterministic: identical inputs produce bit-identical

@@ -16,10 +16,10 @@ engine now does with them:
 
 The engine sums the same products in the same order from cached
 tables (tanh-sinh's built per interval from its halfspan-1 nodes), so
-results must agree bit for bit: compared by repr, value, estimate, evaluation count
-and verdict.  The one intended difference is a call that evaluates f
-nowhere, which the engine reports as converged=False with an infinite
-estimate.
+results must agree bit for bit: compared by repr, value, estimate,
+evaluation count and verdict.  The one intended difference is a call
+that evaluates f nowhere, which the engine reports as converged=False
+with an infinite estimate.
 
 The remaining tests pin the tables' size under the 12-level cap, the
 bound on the per-interval tanh-sinh tables and their use by the chain,
@@ -427,8 +427,8 @@ def test_interval_tables_stay_bounded_and_serve_the_chain(cold_tables):
     test_finite_matches_reference()
     assert quad._tanh_sinh_tables.cache_info().currsize <= 13
     # Right and left node counts of the (0, 1) tables, levels 0 to 12.
-    # The right side ends where 1 - d/2 rounds onto 1, the left where
-    # the weight falls below the floor.
+    # The right side ends where 1 - d/2 rounds onto 1, the left at the
+    # weight floor or where the halfspan-1 table ends.
     assert [tuple(len(xs) for xs, _ in quad._tanh_sinh_tables(0.0, 1.0, level)[1])
             for level in range(13)] == [
         (3, 6), (3, 6), (6, 12), (13, 24), (25, 49), (51, 98), (102, 195), (203, 390),
