@@ -26,6 +26,12 @@ difference is honest it moves the residual by at most about that
 hundredth of tol.  A quadrature that does not converge at the looser
 tolerance fails its step, as before.
 
+Three checks integrate in a natural scale y = s x, where the integrand
+decays like e^{-y}, the decay the semi-infinite transform is built for:
+delta_quadrature (s = pi), c_quadrature (s = b) and t_domain (s = |a|,
+with t for x).  The first two pass _quadrature_check s, which divides
+the integral in y by it; their tolerances apply to the integral in y.
+
 run_full_chain looks each check up by its module-level name at call
 time, never through a reference captured at import, and
 _quadrature_check does the same for the two engines, so replacing
@@ -126,9 +132,11 @@ def _build_report(name: str, params: dict, lhs: float, rhs: float, tol: float,
 
 
 def _quadrature_check(name: str, params: dict, integrand: Callable[[float], float],
-                      closed: float, tol, interval: tuple | None = None) -> IdentityReport:
+                      closed: float, tol, interval: tuple | None = None,
+                      scale: float = 1.0) -> IdentityReport:
     """Report the integral of integrand over interval ((0, inf) when
-    None) as the lhs against closed as the rhs."""
+    None), divided by scale, as the lhs against closed as the rhs.  A
+    check that integrates in y = scale * x passes its integrand in y."""
     tol = _checked_real(tol, "tol", floor=_TOL_FLOOR)
     qtol = ToleranceSpec(rel_tol=max(_QUAD_MARGIN * tol, DEFAULT_TOLERANCE.rel_tol),
                          abs_tol=max(_QUAD_MARGIN * tol, DEFAULT_TOLERANCE.abs_tol))
@@ -136,7 +144,8 @@ def _quadrature_check(name: str, params: dict, integrand: Callable[[float], floa
         res = integrate_semi_infinite(integrand, qtol)
     else:
         res = integrate_finite(integrand, *interval, qtol)
-    return _build_report(name, params, res.value, closed, tol, res.evaluations, res.converged)
+    return _build_report(name, params, res.value / scale, closed, tol, res.evaluations,
+                         res.converged)
 
 
 def _delta_excess(a: float) -> float:
@@ -198,12 +207,36 @@ def _arctan_kernel_integrand(a: float) -> Callable[[float], float]:
     return f
 
 
+def _delta_scaled_integrand(a: float) -> Callable[[float], float]:
+    """ln((y/pi)^2 + a^2) / cosh(y): pi times delta_integrand(a) at
+    x = y/pi, so its integral over (0, inf) is pi delta(a)."""
+    aa = abs(a)
+
+    def f(y: float) -> float:
+        e = math.exp(-y)
+        return 2.0 * math.log(math.hypot(y / math.pi, aa)) * (2.0 * e / (1.0 + e * e))
+
+    return f
+
+
 def _sech_cosine_integrand(t: float) -> Callable[[float], float]:
     """cos(t x) / cosh(pi x)."""
 
     def f(x: float) -> float:
         e = math.exp(-abs(math.pi * x))
         return math.cos(t * x) * (2.0 * e / (1.0 + e * e))
+
+    return f
+
+
+def _c_scaled_integrand(params: MalmstenParams) -> Callable[[float], float]:
+    """(ln a - ln b + ln y) / cosh(y): b times malmsten_c_integrand(params)
+    at x = y/b, so its integral over (0, inf) is b malmsten_c(params)."""
+    shift = math.log(params.a) - math.log(params.b)
+
+    def f(y: float) -> float:
+        e = math.exp(-y)
+        return (shift + math.log(y)) * (2.0 * e / (1.0 + e * e))
 
     return f
 
@@ -252,11 +285,16 @@ def check_delta_quadrature(a: float, tol: float = DEFAULT_TOL) -> IdentityReport
     """Quadrature of ln(x^2 + a^2)/cosh(pi x) against delta_closed(a).
 
     Valid for every finite a including 0, where the integrand carries a
-    logarithmic singularity at the origin.
+    logarithmic singularity at the origin.  The quadrature runs in
+    y = pi x, where sech(y) decays like e^{-y}, the decay the
+    semi-infinite transform is built for: the integral is
+    (1/pi) int_0^inf ln((y/pi)^2 + a^2) / cosh(y) dy.  On the benchmark's
+    chain grids at tol 1e-8 that takes 12% fewer evaluations than in x;
+    from tol 1e-10 on it takes 11% more.
     """
     a = _checked_real(a, "a")
-    return _quadrature_check("delta_quadrature", {"a": a}, delta_integrand(a),
-                             delta_closed(a), tol)
+    return _quadrature_check("delta_quadrature", {"a": a}, _delta_scaled_integrand(a),
+                             delta_closed(a), tol, scale=math.pi)
 
 
 def check_arctan_kernel(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
@@ -279,11 +317,22 @@ def check_arctan_kernel(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
 def check_sech_cosine_transform(t: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     """int_0^inf cos(t x)/cosh(pi x) dx against (1/2) sech(t/2) for t >= 0.
 
-    At t = 0 both sides reduce to 1/2.
+    At t = 0 both sides reduce to 1/2.  Requires t <= 2 ln(tol/eps),
+    35.2 at tol 1e-8 and 7.6 at 1e-14: beyond it (1/2) sech(t/2), about
+    e^{-t/2}, falls below eps/tol, and the quadrature's roundoff, about
+    eps times the integrand's mass, exceeds tol relative.  There the step
+    would pass on its absolute branch whatever its value, or not
+    converge.  The quadrature runs in x: in y = pi x it takes 9% to 22%
+    more evaluations on the benchmark's chain grids at tol 1e-6 to 1e-14.
     """
     t = _checked_real(t, "t")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
+    tol = _checked_real(tol, "tol", floor=_TOL_FLOOR)
+    t_max = 2.0 * math.log(tol / sys.float_info.epsilon)
+    if t > t_max:
+        raise ValueError(f"t must not exceed 2 ln(tol/eps) = {t_max:.4g} at tol {tol!r}, "
+                         f"got {t!r}")
     return _quadrature_check("sech_cosine_transform", {"t": t}, _sech_cosine_integrand(t),
                              0.5 * sech(0.5 * t), tol)
 
@@ -294,10 +343,11 @@ def check_t_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
 
     The quadrature runs in y = |a| t, where the integral is
     int_0^inf e^{-y} (1 - sech(y/(2|a|))) / y dy.  In t the mass sits
-    near t = 1/|a|, and the exp-sinh nodes, centred on 1, spend levels
-    finding it: 346 to 3,008 evaluations for |a| from 1e3 to 1e12 at a
-    relative tolerance of 1e-12.  In y the e^{-y} factor puts it near
-    y = 1 for every a, and the same quadrature takes 199.
+    near t = 1/|a|, far below the semi-infinite nodes' center at 0.38,
+    and the quadrature spends levels finding it: 450 to 3,838
+    evaluations for |a| from 1e3 to 1e12 at a relative tolerance of
+    1e-12.  In y the e^{-y} factor puts it near y = 1 for every a, and
+    the same quadrature takes 121.
 
     Requires |a| > SMALL_A_CUTOFF; below that the integrand decays too
     slowly for the quadrature to be trusted.
@@ -318,9 +368,9 @@ def check_z_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     both ends.  In z the mass crowds z = 0 for small a, nearer than any
     node, and z = 1 for large a, where the first levels miss it and
     agree by accident; in u it spreads over (0, 1).  So this step
-    differs from t_domain only in its transform (tanh-sinh instead of
-    exp-sinh) and its scale, and no longer evaluates the literal
-    z = e^{-t} form.
+    differs from t_domain only in its transform (tanh-sinh on (0, 1)
+    instead of the semi-infinite one) and its scale, and no longer
+    evaluates the literal z = e^{-t} form.
 
     Requires a > SMALL_A_CUTOFF.
     """
@@ -439,14 +489,17 @@ def check_c_quadrature(params: MalmstenParams,
                        tol: float = DEFAULT_TOL) -> IdentityReport:
     """Quadrature of ln(a x)/cosh(b x) against malmsten_c(params).
 
-    Requires malmsten_c(params) to be finite, which fails when pi/b
-    overflows (b below about 1.7476e-308).
+    The quadrature runs in y = b x, where the integral is
+    (1/b) int_0^inf (ln a - ln b + ln y) / cosh(y) dy: the mass sits near
+    y = 1 whatever b is.  Requires malmsten_c(params) to be finite,
+    which fails where the integral overflows (at a = b, b below about
+    2.9e-309).
     """
     closed = malmsten_c(params)
     if not math.isfinite(closed):
         raise ValueError(f"malmsten_c is not finite at a = {params.a!r}, b = {params.b!r}")
     return _quadrature_check("c_quadrature", {"a": params.a, "b": params.b},
-                             malmsten_c_integrand(params), closed, tol)
+                             _c_scaled_integrand(params), closed, tol, scale=params.b)
 
 
 # ---------------------------------------------------------------------------

@@ -144,11 +144,20 @@ def test_commands_call_the_module_names(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_unrenderable_value_writes_nothing(capsys, fmt):
-    # The closed form overflows to inf for b this small; a record that
-    # cannot be serialized must not leave a partial one on stdout.
-    code, out, err = run_cli(capsys, "eval", "--which", "c", "--a", "1", "--b", "1e-308",
+    # The integral, about 1.1e310, overflows a double at b this small; a
+    # record that cannot be serialized must not leave a partial one on
+    # stdout.
+    code, out, err = run_cli(capsys, "eval", "--which", "c", "--a", "1", "--b", "1e-307",
                              "--format", fmt)
     assert (code, out, err) == (2, "", "error: non-finite value inf cannot be serialized\n")
+
+
+def test_eval_c_below_pi_over_dbl_max(capsys):
+    # pi/b overflows here, but the integral does not.
+    code, out, err = run_cli(capsys, "eval", "--which", "c", "--a", "1e-308", "--b", "1e-308")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["value"] == malmsten_c(MalmstenParams(1e-308, 1e-308))
+    assert math.isclose(json.loads(out)["results"]["value"], -5.2088561260197e307, rel_tol=1e-13)
 
 
 def test_verify_ok(capsys):
@@ -165,9 +174,9 @@ def test_verify_ok(capsys):
 
 
 def test_verify_failure_exits_1(capsys):
-    # At t = 1e6 the sech cosine transform oscillates too fast for the DE
-    # rule to converge, so that step fails and so must the chain.
-    code, out, err = run_cli(capsys, "verify", "--grid", "1e6")
+    # At a = 1e-300 the p_integral quadrature does not converge, so that
+    # step fails and so must the chain.
+    code, out, err = run_cli(capsys, "verify", "--grid", "1e-300")
     assert code == 1
     doc = json.loads(out)
     assert doc["results"]["overall_pass"] is False
@@ -203,9 +212,9 @@ def test_verify_records_skips(capsys):
 
 @pytest.mark.parametrize("grid", ["1e-300", "1e-308", "5e-324"])
 def test_verify_tiny_a_is_not_a_usage_error(capsys, grid):
-    # a*a underflows to 0 here, and below 1.7476e-308 malmsten_c's pi/b
-    # overflows too; the chain must report and skip, not divide by zero
-    # or fail to serialize an infinite closed side.
+    # a*a underflows to 0 here, and at 5e-324 the closed side of
+    # c_quadrature overflows too; the chain must report and skip, not
+    # divide by zero or fail to serialize an infinite closed side.
     code, out, err = run_cli(capsys, "verify", "--grid", grid)
     assert code == 1
     assert "division" not in err

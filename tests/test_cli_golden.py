@@ -49,8 +49,9 @@ CASES = [
     ["quad", "--which", "c", "--a", "2", "--b", "3"],
     ["quad", "--which", "c", "--a", "0.1", "--b", "0.5", "--format", "csv"],
     # verify: a passing grid with skips, a point just above the z-domain
-    # cutoff, a passing chain at the tolerance floor, and a failing chain
-    # (exit 1): at t = 1e6 the sech cosine transform does not converge
+    # cutoff, a passing chain at the tolerance floor, a point past the t
+    # the sech cosine transform resolves (a skip), and a failing chain
+    # (exit 1): at a = 1e-300 the p_integral quadrature does not converge
     ["verify", "--grid", "0,-1,0.5"],
     ["verify", "--grid", "0,-1,0.5", "--format", "csv"],
     ["verify", "--grid", "0.005", "--tol", "1e-6"],
@@ -58,6 +59,7 @@ CASES = [
     ["verify", "--grid", "1.0", "--tol", "1e-14"],
     ["verify", "--grid", "1.0", "--tol", "1e-14", "--format", "csv"],
     ["verify", "--grid", "1e6"],
+    ["verify", "--grid", "1e-300"],
     # table
     ["table", "--a-min=-1", "--a-max", "1", "--steps", "3", "--format", "json"],
     ["table", "--a-min", "0", "--a-max", "2", "--steps", "4"],

@@ -9,7 +9,11 @@ shared with the library.  The set includes the regions where estimates
 used to fall short: the z-domain form just above a = 0.02, at both ends
 of the a range check_z_domain accepts, and malmsten_c with a small b,
 whose integrand spreads far out before it decays.  The z-domain cases at
-the ends of that range must also converge at every tolerance.
+the ends of that range must also converge at every tolerance.  So must
+the chain's integrands in the scale its checks integrate them in (delta
+in y = pi x, the c integral in y = b x for b from 1e-300 to 1e300, and
+the sech-cosine transform for t up to 35), and two integrands that
+decay only algebraically, 1/(1+x^2) and x^(-1/2)/(1+x).
 
 The closed forms delta_closed and delta_derivative, and the digamma
 combination behind the p_integral step, are checked the same way over
@@ -27,7 +31,7 @@ import sys
 import pytest
 
 from malmsten import proofchain
-from malmsten.closedform import MalmstenParams, delta_closed, delta_derivative
+from malmsten.closedform import MalmstenParams, delta_closed, delta_derivative, malmsten_c
 from malmsten.quad import ToleranceSpec, integrate_finite, integrate_semi_infinite
 from malmsten.specfun import _digamma_quartet, digamma, ln_gamma
 
@@ -97,6 +101,39 @@ def _cases():
                       _malmsten_c(a, b)))
     zs = _log_uniform(rng, 40, 0.02, 20.0) + _log_uniform(rng, 12, 0.0202, 0.022)
     cases += [_z_domain_case(a) for a in zs + Z_DOMAIN_EDGE_A]
+    # Integrands that decay like x^-2 and x^-3/2, which the semi-infinite
+    # transform must still integrate: its e^(t-c) term makes their tails
+    # decay double-exponentially in t.
+    cases += [
+        ("1/(1+x^2)", lambda tol: integrate_semi_infinite(lambda x: 1.0 / (1.0 + x * x), tol),
+         mpmath.pi / 2),
+        ("x^-1/2/(1+x)",
+         lambda tol: integrate_semi_infinite(lambda x: x ** -0.5 / (1.0 + x), tol), +mpmath.pi),
+    ]
+    return cases + _scaled_chain_cases(rng)
+
+
+def _scaled_chain_cases(rng):
+    """The chain's integrands in the scale its checks integrate them in:
+    delta_quadrature in y = pi x and c_quadrature in y = b x, and the
+    sech-cosine transform over the t the step keeps at its default tol."""
+    cases = []
+    for k, a in enumerate([0.0] + _log_uniform(rng, 24, 1e-3, 1e12)):
+        a = a if k % 2 else -a
+        f = proofchain._delta_scaled_integrand(a)
+        cases.append((f"delta scaled a={a!r}",
+                      lambda tol, f=f: integrate_semi_infinite(f, tol), mpmath.pi * _delta(a)))
+    pairs = [(b, b) for b in _log_uniform(rng, 8, 1e-300, 1e300)]
+    pairs += zip(_log_uniform(rng, 24, 1e-3, 1e3), _log_uniform(rng, 24, 1e-10, 1e6))
+    for a, b in pairs:
+        f = proofchain._c_scaled_integrand(MalmstenParams(a, b))
+        cases.append((f"c scaled a={a!r} b={b!r}",
+                      lambda tol, f=f: integrate_semi_infinite(f, tol), b * _malmsten_c(a, b)))
+    for t in [0.0] + _log_uniform(rng, 24, 1e-2, 35.0):
+        f = proofchain._sech_cosine_integrand(t)
+        cases.append((f"sech_cosine t={t!r}",
+                      lambda tol, f=f: integrate_semi_infinite(f, tol),
+                      mpmath.sech(mpmath.mpf(t) / 2) / 2))
     return cases
 
 
@@ -157,6 +194,20 @@ def test_delta_derivative_on_its_whole_domain():
         if not err <= 2e-15 * float(ref):
             bad.append((a, err, float(ref)))
     assert not bad, bad
+
+
+@pytest.mark.parametrize("a, b", [(1e-308, 1e-308), (2e-308, 1e-308), (3e-309, 3e-309),
+                                  (5e-309, 1e-308)])
+def test_malmsten_c_below_pi_over_dbl_max(a, b):
+    # pi/b overflows below b = 1.7476e-308, yet the integral stays finite
+    # down to about 2.9e-309 at a = b: -5.2e307 at a = b = 1e-308.  The
+    # error bound is the docstring's: 10 ulp of the largest logarithm,
+    # times pi/b.
+    with mpmath.workdps(_DPS):
+        ref = _malmsten_c(a, b)
+        err = abs(mpmath.mpf(malmsten_c(MalmstenParams(a, b))) - ref)
+        bound = 10 * sys.float_info.epsilon * abs(mpmath.log(b)) / 2 * mpmath.pi / b
+    assert err <= bound, (float(err), float(bound))
 
 
 def _quartet(x):

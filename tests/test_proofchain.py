@@ -8,6 +8,7 @@ cleanly, and the intermediate routes all agree with each other.
 
 import dataclasses
 import math
+import re
 import sys
 
 import pytest
@@ -97,6 +98,12 @@ INLINED_INTEGRANDS = (
        for t in (0.0, 1.0, 37.5, 1e6)]
     + [(f"t_domain a={a}", pc._t_domain_integrand(a), _t_domain_reference(a))
        for a in (2e-3, -1.0, 1e3, 1e12)]
+    + [(f"delta scaled a={a}", pc._delta_scaled_integrand(a),
+        lambda y, a=a: 2.0 * math.log(math.hypot(y / math.pi, abs(a))) * sech(y))
+       for a in (0.0, -1e-200, 0.5, 1e150)]
+    + [(f"c scaled a={a} b={b}", pc._c_scaled_integrand(MalmstenParams(a, b)),
+        lambda y, a=a, b=b: (math.log(a) - math.log(b) + math.log(y)) * sech(y))
+       for a, b in ((1.0, 1.0), (0.01, 1e-10), (1e-308, 1e-308))]
 )
 
 
@@ -147,6 +154,25 @@ def test_sech_cosine_transform(t):
 def test_sech_cosine_rejects_negative():
     with pytest.raises(ValueError):
         check_sech_cosine_transform(-0.5)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-14])
+def test_sech_cosine_checks_only_the_t_it_resolves(tol):
+    # (1/2) sech(t/2) ~ e^{-t/2} falls to eps/tol at T = 2 ln(tol/eps), and
+    # the quadrature's roundoff, about eps times the integrand's mass,
+    # is then tol relative: 35.2 at tol 1e-8 and 7.6 at 1e-14, so the
+    # A05 grid still runs at every tol.  Past T the step skips instead
+    # of passing on its absolute branch; at t >= 4.45e170 it used to raise
+    # from cos(t x) and skip with "math domain error".
+    t_max = 2.0 * math.log(tol / sys.float_info.epsilon)
+    edge = check_sech_cosine_transform(t_max, tol)
+    assert edge.passed and edge.rel_err <= tol
+    for t in (math.nextafter(t_max, math.inf), 1e6, 4.45e170, 1e300):
+        reason = f"t must not exceed 2 ln(tol/eps) = {t_max:.4g} at tol {tol!r}, got {t!r}"
+        with pytest.raises(ValueError, match=re.escape(reason) + "$"):
+            check_sech_cosine_transform(t, tol)
+        report = run_full_chain([-t], tol)
+        assert SkippedStep("sech_cosine_transform", {"t": t}, reason) in report.skipped
 
 
 def test_t_domain_half():
@@ -237,11 +263,11 @@ def test_alt_series_rejects_subnormal_mu(mu):
     assert "alt_series_digamma" not in {s.name for s in report.steps}
 
 
-@pytest.mark.parametrize("a", [1e-308, 5e-324])
+@pytest.mark.parametrize("a", [1e-309, 5e-324])
 def test_c_quadrature_rejects_infinite_closed_side(a):
-    # Below b = pi/DBL_MAX = 1.7476e-308 the closed side's pi/b
-    # overflows, so the check and the chain's step at a = b = |a| skip
-    # with a reason that names both scales.
+    # Below b = 2.9e-309 the closed side vardi_b_constant()/b overflows,
+    # so the check and the chain's step at a = b = |a| skip with a reason
+    # that names both scales.
     reason = f"malmsten_c is not finite at a = {a!r}, b = {a!r}"
     with pytest.raises(ValueError, match=reason):
         check_c_quadrature(MalmstenParams(a, a))
@@ -278,17 +304,19 @@ def test_b_reduction_reports_the_failing_sub_identity(monkeypatch):
     from malmsten.specfun import sech
 
     real = pc.integrate_semi_infinite
+    skewed_values = []
 
     def skewed(f, *args):
         res = real(f, *args)
         if f is sech:  # break the normalization int_0^inf sech = pi/2
             res = dataclasses.replace(res, value=res.value + 1e-3)
+            skewed_values.append(res.value)
         return res
 
     monkeypatch.setattr(pc, "integrate_semi_infinite", skewed)
     rep = pc.check_b_reduction()
     assert not rep.passed
-    assert rep.lhs == real(sech).value + 1e-3
+    assert [rep.lhs] == skewed_values
     assert rep.rhs == 0.5 * math.pi
     assert rep.note.startswith("worst sub-identity: sech_normalization;")
     _assert_report_consistent(rep)
@@ -424,12 +452,13 @@ def test_full_chain_records_skips():
         assert str(exc.value) == s.reason
 
     # Where a^2 underflows to 0 the chain still reports instead of
-    # raising; the steps whose quadrature cannot resolve the scale fail
-    # as non-converged.
+    # raising; the step whose quadrature cannot resolve the scale fails
+    # as non-converged.  c_quadrature integrates in y = b x, where every
+    # b looks alike, so it passes.
     report = run_full_chain([1e-300])
     assert "arctan_kernel" in {s.name for s in report.skipped}
     failed = [s for s in report.steps if not s.passed]
-    assert {s.name for s in failed} == {"p_integral", "c_quadrature"}
+    assert {s.name for s in failed} == {"p_integral"}
     assert all("converge" in s.note for s in failed)
 
 
@@ -550,9 +579,27 @@ def test_derived_quadrature_tolerance_keeps_every_step(tol):
         _assert_report_consistent(step)
 
 
-@pytest.mark.parametrize("tol, evaluations", [(1e-8, 4741), (1e-14, 14012)])
-def test_a05_evaluation_count(tol, evaluations):
-    # Integrand evaluations are deterministic, so they pin what the
-    # derived quadrature tolerance saves: 6,216 at tol 1e-8 when every
-    # quadrature ran at DEFAULT_TOLERANCE.
-    assert run_full_chain(A05_GRID, tol=tol).total_evaluations == evaluations
+# Integrand evaluations per step on A05 (series terms for
+# alt_series_digamma), summed over the grid.  They are deterministic, so
+# they pin what each step costs and show which one moved.  Before the
+# semi-infinite transform x = exp(t - e^-t + e^(t-c)) replaced exp-sinh
+# the totals were 4,741 and 14,012; 6,216 at tol 1e-8 when every
+# quadrature ran at DEFAULT_TOLERANCE.
+A05_STEP_EVALUATIONS = {
+    1e-8: {"delta_quadrature": 473, "arctan_kernel": 434, "sech_cosine_transform": 605,
+           "t_domain": 381, "z_domain": 407, "alt_series_digamma": 504, "p_integral": 300,
+           "b_reduction": 208, "c_quadrature": 680},
+    1e-14: {"delta_quadrature": 665, "arctan_kernel": 530, "sech_cosine_transform": 717,
+            "t_domain": 605, "z_domain": 463, "alt_series_digamma": 8204, "p_integral": 471,
+            "b_reduction": 272, "c_quadrature": 680},
+}
+
+
+@pytest.mark.parametrize("tol", sorted(A05_STEP_EVALUATIONS))
+def test_a05_evaluations_per_step(tol):
+    report = run_full_chain(A05_GRID, tol=tol)
+    per_step = dict.fromkeys(A05_STEP_EVALUATIONS[tol], 0)
+    for step in report.steps:
+        per_step[step.name] += step.evaluations
+    assert per_step == A05_STEP_EVALUATIONS[tol]
+    assert report.total_evaluations == sum(per_step.values())

@@ -251,9 +251,10 @@ def test_overflowing_span_stays_inside_the_interval():
 
 # -- trimming: later levels sum each side only where level 0 found mass -------
 
-def _exp_sinh_up_node(t):
-    """The exp-sinh abscissa x(t) > 1 at a level-0 t, as the tables build it."""
-    return math.exp(math.pi / 2.0 * math.sinh(t))
+def _up_node(t):
+    """The semi-infinite abscissa x(t) = exp(t - e^-t + e^(t-c)) at a
+    level-0 t > 0, as the tables build it."""
+    return math.exp(t - math.exp(-t) + math.exp(t - 3.5))
 
 
 ONE_SIDED = [
@@ -287,7 +288,7 @@ def test_trimmed_finite_within_estimate(name, f, exact, rel_tol):
 
 def test_deep_levels_still_trim():
     # exp(-x)/x diverges at 0, so every level up to 12 runs.  Its up side
-    # is negligible from t = 2 (x ~ 298) on: past that, f only ever sees
+    # is negligible from t = 3 (x ~ 35) on: past that, f only ever sees
     # the level-0 nodes.
     seen = []
 
@@ -297,12 +298,12 @@ def test_deep_levels_still_trim():
 
     res = integrate_semi_infinite(f)
     assert not res.converged
-    assert sorted(x for x in seen if x > 300.0) == [_exp_sinh_up_node(t) for t in (3.0, 4.0, 5.0, 6.0)]
+    assert sorted(x for x in seen if x > 40.0) == [_up_node(float(t)) for t in range(4, 10)]
     assert len(seen) > 20_000
 
 
 def test_nan_at_a_level0_node_beyond_the_trim_limit_raises():
-    bad = _exp_sinh_up_node(4.0)
+    bad = _up_node(4.0)
 
     def f(x):
         return float("nan") if x == bad else math.exp(-x)
@@ -312,10 +313,10 @@ def test_nan_at_a_level0_node_beyond_the_trim_limit_raises():
 
 
 def test_nan_only_beyond_the_trim_limit_is_never_seen():
-    # No level-0 node lies in (1e3, 1e5), and from level 1 on the up side
-    # of exp(-x) is summed only below x ~ 298.
+    # No level-0 node lies in (1e3, 1e4), and from level 1 on the up side
+    # of exp(-x) is summed only below x ~ 279.
     def f(x):
-        return float("nan") if 1e3 < x < 1e5 else math.exp(-x)
+        return float("nan") if 1e3 < x < 1e4 else math.exp(-x)
 
     res = integrate_semi_infinite(f)
     assert res.converged

@@ -1,8 +1,9 @@
 """The table-driven DE engine against per-node loops that state its rules.
 
 The reference engine below recomputes every node and weight on every
-call, as the engine once did, and restates in its own terms what the
-engine now does with them:
+call from the transforms' formulas (tanh-sinh, and x = exp(phi(t)) with
+phi(t) = t - e^-t + e^(t-c) on (0, inf)), and restates in its own terms
+what the engine does with them:
 
     trim      after level 0, each side of the transform is summed only
               at t below one level-0 step past its outermost node whose
@@ -48,7 +49,8 @@ from malmsten.quad import (
 _HALF_PI = math.pi / 2.0
 _WEIGHT_FLOOR = 1e-300
 _EXP_ARG_CAP = 667.0
-_T_CAP = 8.0
+_SHIFT = 3.5  # c in the semi-infinite transform's phi(t) = t - e^-t + e^(t-c)
+_T_CAP = 16.0
 _EPS = 2.0 ** -52
 _UNTRIMMED = (math.inf, math.inf)
 
@@ -155,6 +157,11 @@ def reference_finite(f, lo, hi, tol=DEFAULT_TOLERANCE, trim=True):
     return _refine(new_nodes, tol, count, trim)
 
 
+def _phi(s):
+    """The semi-infinite transform's x = exp(phi(s)) and dx/ds = x * dphi(s)."""
+    return s - math.exp(-s) + math.exp(s - _SHIFT), 1.0 + math.exp(-s) + math.exp(s - _SHIFT)
+
+
 def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE, trim=True):
     count = [0]
 
@@ -171,24 +178,26 @@ def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE, trim=True):
             if t > _T_CAP:
                 break
             if k == 0:
-                term = _HALF_PI * _call(f, 1.0, count)
+                arg, slope = _phi(0.0)
+                x = math.exp(arg)
+                term = x * slope * _call(f, x, count)
                 partial += term
                 negative += min(term, 0.0)
             else:
-                arg = _HALF_PI * math.sinh(t)
-                ch = math.cosh(t)
                 if up_alive:
+                    arg, slope = _phi(t)
                     if arg > _EXP_ARG_CAP:
                         up_alive = False
                     elif t < limits[0]:
                         x = math.exp(arg)
-                        term = _HALF_PI * ch * x * _call(f, x, count)
+                        term = x * slope * _call(f, x, count)
                         partial += term
                         negative += min(term, 0.0)
                         sides[0].append(term)
                 if down_alive:
-                    x = math.exp(-arg)
-                    w = _HALF_PI * ch * x
+                    arg, slope = _phi(-t)
+                    x = math.exp(arg)
+                    w = x * slope
                     if w < _WEIGHT_FLOOR:
                         down_alive = False
                     elif t < limits[1]:
@@ -308,7 +317,7 @@ def test_nan_message_matches_reference(cut):
 @pytest.mark.parametrize("cut", [0.3, 1e-3, 1e-12])
 def test_nan_below_cut_message_matches_reference(cut):
     # A NaN below the cut is met first on tanh-sinh's left side and on
-    # exp-sinh's down side, which test_nan_message_matches_reference,
+    # the semi-infinite down side, which test_nan_message_matches_reference,
     # whose NaN lies above its cut, never reaches.
     def f(x):
         return float("nan") if x < cut else math.exp(-x)
@@ -322,19 +331,19 @@ def test_nan_below_cut_message_matches_reference(cut):
         assert str(got.value) == str(expected.value)
 
 
-def test_level0_sides_are_the_same_length():
-    # exp-sinh's level 0 never reaches the loop that sums one side's
-    # surplus nodes alone, so its level-0 terms that fix the trim come
-    # from the paired loop only.  tanh-sinh's do not: on (0, 1) its right
-    # side has 3 level-0 nodes and its left side 6, so the surplus loop
-    # records the left side's last 3 terms.
-    assert len(quad._nodes(0)[2]) == len(quad._nodes(0)[4])
+def test_level0_up_side_goes_on_alone():
+    # Both transforms reach the loop that sums one side's surplus nodes
+    # alone at level 0, so their level-0 terms that fix the trim come
+    # from both loops: the semi-infinite up side has 9 level-0 nodes and
+    # its down side 6, and on (0, 1) tanh-sinh's right side has 3 and its
+    # left side 6.  The reference sweeps above check the trim either way.
+    assert (len(quad._nodes(0)[2]), len(quad._nodes(0)[4])) == (9, 6)
 
 
 def test_nan_met_where_one_side_goes_on_alone():
     # The up side is trimmed and the all-zero down side is not, so past
     # the up side's limit the down side goes on alone.  Its first node
-    # below 1e-300 comes at level 5 (t = 6.78125), as its last node.
+    # below 1e-300 comes at level 5 (t = -6.53125), as its last node.
     def f(x):
         if x < 1e-300:
             return float("nan")
@@ -349,11 +358,10 @@ def test_nan_met_where_one_side_goes_on_alone():
     assert str(got.value) == str(expected.value)
 
 
-def _level0_exp_sinh_abscissae():
-    nodes = {1.0}
-    for k in range(1, 7):
-        arg = _HALF_PI * math.sinh(float(k))
-        nodes |= {math.exp(arg), math.exp(-arg)}
+def _level0_abscissae():
+    nodes = {math.exp(_phi(0.0)[0])}
+    for k in range(1, 10):
+        nodes |= {math.exp(_phi(float(k))[0]), math.exp(_phi(-float(k))[0])}
     return nodes
 
 
@@ -361,7 +369,7 @@ def test_zero_at_every_level0_node_is_not_trimmed():
     # Level 0 sees no mass at all, so it says nothing about where either
     # side ends: both are summed out to their natural ends.  (The missing
     # level-0 mass keeps the levels apart, so the call never converges.)
-    level0 = _level0_exp_sinh_abscissae()
+    level0 = _level0_abscissae()
 
     def f(x):
         return 0.0 if x in level0 else math.exp(-x)
@@ -372,8 +380,10 @@ def test_zero_at_every_level0_node_is_not_trimmed():
 
 
 def test_infinite_level0_sum_is_not_trimmed():
+    center = math.exp(_phi(0.0)[0])
+
     def f(x):
-        return math.inf if x == 1.0 else math.exp(-x)
+        return math.inf if x == center else math.exp(-x)
 
     got = integrate_semi_infinite(f, ToleranceSpec(max_level=4))
     assert not got.converged
@@ -391,8 +401,8 @@ def test_full_chain_matches_reference(monkeypatch):
 # -- table size and thread safety ---------------------------------------------
 
 def _node_counts():
-    """(tanh-sinh, exp-sinh) nodes over the 13 cached levels; exp-sinh
-    counts its center once, as well as every up and down node."""
+    """(tanh-sinh, semi-infinite) nodes over the 13 cached levels; the
+    semi-infinite count takes its center once, and every up and down node."""
     assert quad._nodes.cache_info().currsize == 13
     tables = [quad._nodes(level) for level in range(13)]
     return (sum(len(t[0]) for t in tables),
@@ -401,7 +411,7 @@ def _node_counts():
 
 def _clear_tables():
     quad._nodes.cache_clear()
-    quad._exp_sinh_tables.cache_clear()
+    quad._semi_infinite_tables.cache_clear()
     quad._tanh_sinh_tables.cache_clear()
 
 
@@ -420,7 +430,7 @@ def _divergent_sweep(max_level):
 
 def test_tables_hold_levels_up_to_twelve(cold_tables):
     _divergent_sweep(12)
-    assert _node_counts() == (25_279, 55_431)
+    assert _node_counts() == (25_279, 67_688)
 
 
 def test_interval_tables_stay_bounded_and_serve_the_chain(cold_tables):
@@ -463,4 +473,4 @@ def test_cold_tables_built_by_racing_threads(cold_tables):
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == len(threads)
     assert all(repr(r) == repr(expected) for r in results)
-    assert _node_counts() == (25_279, 55_431)
+    assert _node_counts() == (25_279, 67_688)
