@@ -96,9 +96,7 @@ def malmsten_c(params: MalmstenParams) -> float:
         + 1.5 * _LN_PI
         - 2.0 * _LN_GAMMA_QUARTER
     )
-    if scale == math.inf:
-        return math.pi * (bracket / params.b)
-    return scale * bracket
+    return math.pi * (bracket / params.b) if scale == math.inf else scale * bracket
 
 
 def delta_derivative(a: float) -> float:

@@ -26,11 +26,11 @@ difference is honest it moves the residual by at most about that
 hundredth of tol.  A quadrature that does not converge at the looser
 tolerance fails its step, as before.
 
-Three checks integrate in a natural scale y = s x, where the integrand
-decays like e^{-y}, the decay the semi-infinite transform is built for:
-delta_quadrature (s = pi), c_quadrature (s = b) and t_domain (s = |a|,
-with t for x).  The first two pass _quadrature_check s, which divides
-the integral in y by it; their tolerances apply to the integral in y.
+Three checks integrate in y = s x, where the integrand decays like
+e^{-y} as the semi-infinite transform expects: delta_quadrature
+(s = pi), c_quadrature (s = b) and t_domain (s = |a|, t for x).  The
+first two pass s to _quadrature_check, whose tolerances then apply to
+the integral in y.
 
 run_full_chain looks each check up by its module-level name at call
 time, never through a reference captured at import, and
@@ -144,8 +144,8 @@ def _quadrature_check(name: str, params: dict, integrand: Callable[[float], floa
         res = integrate_semi_infinite(integrand, qtol)
     else:
         res = integrate_finite(integrand, *interval, qtol)
-    return _build_report(name, params, res.value / scale, closed, tol, res.evaluations,
-                         res.converged)
+    return _build_report(name, params, res.value / scale, closed, tol,
+                         res.evaluations, res.converged)
 
 
 def _delta_excess(a: float) -> float:
@@ -286,11 +286,9 @@ def check_delta_quadrature(a: float, tol: float = DEFAULT_TOL) -> IdentityReport
 
     Valid for every finite a including 0, where the integrand carries a
     logarithmic singularity at the origin.  The quadrature runs in
-    y = pi x, where sech(y) decays like e^{-y}, the decay the
-    semi-infinite transform is built for: the integral is
-    (1/pi) int_0^inf ln((y/pi)^2 + a^2) / cosh(y) dy.  On the benchmark's
-    chain grids at tol 1e-8 that takes 12% fewer evaluations than in x;
-    from tol 1e-10 on it takes 11% more.
+    y = pi x: (1/pi) int_0^inf ln((y/pi)^2 + a^2) / cosh(y) dy.  On the
+    benchmark's chain grids that takes 12% fewer evaluations than in x
+    at tol 1e-8, and 11% more from tol 1e-10 on.
     """
     a = _checked_real(a, "a")
     return _quadrature_check("delta_quadrature", {"a": a}, _delta_scaled_integrand(a),
@@ -318,12 +316,10 @@ def check_sech_cosine_transform(t: float, tol: float = DEFAULT_TOL) -> IdentityR
     """int_0^inf cos(t x)/cosh(pi x) dx against (1/2) sech(t/2) for t >= 0.
 
     At t = 0 both sides reduce to 1/2.  Requires t <= 2 ln(tol/eps),
-    35.2 at tol 1e-8 and 7.6 at 1e-14: beyond it (1/2) sech(t/2), about
-    e^{-t/2}, falls below eps/tol, and the quadrature's roundoff, about
-    eps times the integrand's mass, exceeds tol relative.  There the step
-    would pass on its absolute branch whatever its value, or not
-    converge.  The quadrature runs in x: in y = pi x it takes 9% to 22%
-    more evaluations on the benchmark's chain grids at tol 1e-6 to 1e-14.
+    35.2 at tol 1e-8 and 7.6 at 1e-14: beyond it (1/2) sech(t/2) falls
+    below eps/tol, so the quadrature's roundoff exceeds tol relative and
+    the step could only pass on its absolute branch.  The quadrature
+    runs in x; in y = pi x it takes 9% to 22% more evaluations.
     """
     t = _checked_real(t, "t")
     if t < 0.0:
@@ -489,11 +485,10 @@ def check_c_quadrature(params: MalmstenParams,
                        tol: float = DEFAULT_TOL) -> IdentityReport:
     """Quadrature of ln(a x)/cosh(b x) against malmsten_c(params).
 
-    The quadrature runs in y = b x, where the integral is
-    (1/b) int_0^inf (ln a - ln b + ln y) / cosh(y) dy: the mass sits near
-    y = 1 whatever b is.  Requires malmsten_c(params) to be finite,
-    which fails where the integral overflows (at a = b, b below about
-    2.9e-309).
+    The quadrature runs in y = b x, where the mass sits near y = 1 for
+    every b: (1/b) int_0^inf (ln a - ln b + ln y) / cosh(y) dy.  Requires
+    malmsten_c(params) to be finite, which fails where the integral
+    overflows (at a = b, below b = 2.9e-309).
     """
     closed = malmsten_c(params)
     if not math.isfinite(closed):

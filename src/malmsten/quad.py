@@ -8,20 +8,16 @@ singularities of log or power type (exponent > -1):
     tanh-sinh, finite [lo, hi]:   x(t) = mid + halfspan * tanh((pi/2) sinh t)
     (0, inf):                     x(t) = exp(phi(t)),  phi(t) = t - e^-t + e^(t-c)
 
-The second is Takahasi and Mori's x = exp(t - e^-t) for integrands that
-decay like e^-x (Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)
-287-296), which gives them double-exponential decay in t where
-exp-sinh's x = exp((pi/2) sinh t) over-compresses them, plus the term
-e^(t-c).  Alone, exp(t - e^-t) leaves an integrand that decays like
-x^-2 only single-exponential decay in t; e^(t-c) takes over from
-t ~ c, x ~ e^c, and makes that tail double-exponential again.  c = 3.5
-(_SHIFT) is a constant: on the chain's integrands a larger c saves
-calls, but from c = 3.52 the t-domain integrand at a = 2e-3 needs a
-level more (265 calls instead of 233), and at c = 3.25 and below the
-compact (1 - x)^3 on (0, 1) agrees across two levels by coincidence at
-rel_tol 1e-6, outside its estimate.
+The second is Takahasi and Mori's x = exp(t - e^-t), which gives an
+integrand that decays like e^-x double-exponential decay in t (Mori &
+Sugihara, J. Comput. Appl. Math. 127 (2001) 287-296), plus e^(t-c): it
+takes over from x ~ e^c and makes an x^-2 tail, which exp(t - e^-t)
+leaves single-exponential, double-exponential too.  c = 3.5 (_SHIFT):
+from c = 3.52 the t-domain integrand at a = 2e-3 needs a level more, and
+from c = 3.25 down the compact (1 - x)^3 on (0, 1) converges outside its
+estimate at rel_tol 1e-6.
 
-Refinement halves the step hRefinement halves the step h and evaluates only the new odd-index
+Refinement halves the step h and evaluates only the new odd-index
 nodes, so earlier levels are reused in full.  Convergence is declared
 when two successive levels agree within tolerance; a call that could
 evaluate f at no node at all never claims it.  Node placement never
@@ -30,10 +26,10 @@ or hi are dropped (the mass they carry is below roundoff), and the scan
 stops once the transformed weight underflows below 1e-300.
 
 Each transform has two sides, t > 0 and t < 0: right and left of the
-midpoint for tanh-sinh, up and down for (0, inf), whose center node,
-t = 0, is x = exp(e^-c - 1) = 0.379.  One sweep sums a level for both: its center node (level 0 only), then the
-two sides in pairs outward, right before left and up before down, then
-the rest of the longer side.  Level 0 (h = 1) evaluates every node of
+midpoint for tanh-sinh, up and down from x = exp(e^-c - 1) = 0.379 for
+(0, inf).  One sweep sums a level for both: its center node (level 0
+only), then the two sides in pairs outward, right before left and up
+before down, then the rest of the longer side.  Level 0 (h = 1) evaluates every node of
 both sides and also sums |w*f|.  Each side is then trimmed: every later
 level L sums only its first limit * 2**(L-1) nodes, those with t below
 one level-0 step past its outermost node whose |w*f| exceeds eps * (the
@@ -77,13 +73,12 @@ over t builds, per level, the (0, inf) transform's (x, w) for the up and
 the down side, with every truncation applied, and tanh-sinh's (d, w0)
 for halfspan 1, where d is the distance from a node to its endpoint and
 w0 its weight.  The up side ends once phi(t) passes _EXP_ARG_CAP, at
-t ~ 9.99 (x ~ 4.3e289), and the down side once w falls below the floor,
-at t ~ -6.53 (x ~ 2e-303); level 0 has 9 up nodes, 6 down ones and the
-center.  These are cached by functools.cache.  ToleranceSpec caps
-max_level at 12, so at most 13 levels are ever kept: 25,279 tanh-sinh
-nodes and 67,688 (0, inf) ones with the center, 16 bytes each, about
-1.5 MB.  A process that only integrates on (0, inf) builds the
-tanh-sinh ones too.
+t ~ 9.99 (x ~ 4e289), the down side once w falls below the floor, at
+t ~ -6.54 (x ~ 2e-303); level 0 has 9 up nodes and 6 down.  These are
+cached by functools.cache.  ToleranceSpec caps max_level at 12, so at
+most 13 levels are ever kept: 25,279 tanh-sinh nodes and 67,688 (0, inf)
+ones with the center, 16 bytes each, about 1.5 MB.  A process that only
+integrates on (0, inf) builds the tanh-sinh ones too.
 
 tanh-sinh's (x, w) tables depend on the interval.  They are built from
 (d, w0) per (lo, hi, level), with the same per-node expressions
@@ -358,12 +353,9 @@ def _semi_infinite_tables(level: int) -> tuple:
     center x = exp(phi(0)) with its weight at level 0, the up side, then
     the down side."""
     _, _, up_x, up_w, down_x, down_w = _nodes(level)
-    center = None
-    if level == 0:
-        ec = math.exp(-_SHIFT)
-        x = math.exp(ec - 1.0)
-        center = (x, x * (2.0 + ec))
-    return center, ((up_x, up_w), (down_x, down_w))
+    ec = math.exp(-_SHIFT)                 # t = 0: phi = e^-c - 1, phi' = 2 + e^-c
+    x = math.exp(ec - 1.0)
+    return (x, x * (2.0 + ec)) if level == 0 else None, ((up_x, up_w), (down_x, down_w))
 
 
 @functools.lru_cache(maxsize=_INTERVAL_TABLES)
@@ -441,11 +433,11 @@ def integrate_semi_infinite(f: Callable[[float], float],
     and at least exponential or x**-2 decay at infinity.  Error
     semantics match integrate_finite.
 
-    The transform is built for e^-x decay: exp(-x) to rel_tol 1e-12
-    takes 136 calls, against 199 with exp-sinh.  x**-2 decay costs more:
+    The transform is built for e^-x decay: exp(-x) takes 136 calls at
+    rel_tol 1e-12, against 199 with exp-sinh.  x**-2 decay costs more:
     1/(1+x^2) takes 93 calls at rel_tol 1e-6 and 181 at 1e-10 to 1e-14,
-    against 37 and 69 with exp-sinh; x**-0.5/(1+x) takes 55 and 107.
-    Both still converge within their estimates at every rel_tol the
-    oracle tests try.
+    against 37 and 69 with exp-sinh, and x**-0.5/(1+x) 55 and 107,
+    against 43 and 83.  Both stay within their estimates at every
+    rel_tol the oracle tests try.
     """
     return _refine(f, _semi_infinite_tables, tol)
