@@ -123,7 +123,8 @@ __all__ = [
 _HALF_PI = math.pi / 2.0
 _WEIGHT_FLOOR = 1e-300  # truncate once the transformed weight underflows this far
 _EXP_ARG_CAP = 667.0    # keeps up-side nodes and weights finite (x <= ~1.3e289)
-_SHIFT = 3.5            # c in phi(t) = t - e^-t + e^(t-c); see integrate_semi_infinite
+_SHIFT = 3.5            # c in phi(t) = t - e^-t + e^(t-c); see the module docstring
+_EXP_SHIFT = math.exp(-_SHIFT)
 _REL_TOL_FLOOR = 1e-14
 _EPS = 2.0 ** -52
 _ROUNDOFF = 8.0         # c of the estimate's roundoff floor c * eps * h * sum|w*f|
@@ -317,32 +318,35 @@ def _nodes(level: int) -> tuple:
     h = 0.5 ** level
     step = 1 if level == 0 else 2
     ds, w0s, up_x, up_w, down_x, down_w = (array("d") for _ in range(6))
-    down_open = True
+    down_open = tanh_open = True
     k = 1
     while True:
         t = k * h
-        em, ep = math.exp(-t), math.exp(t - _SHIFT)
-        phi = t - em + ep
+        em, ep = math.exp(-t), math.exp(t)
+        tail = ep * _EXP_SHIFT             # e^(t-c)
+        phi = t - em + tail
         if phi > _EXP_ARG_CAP:
             break
         x = math.exp(phi)
         up_x.append(x)
-        up_w.append(x * (1.0 + em + ep))
-        if down_open:                      # t -> -t: e^-t -> 1/em, e^(t-c) -> e^-t * e^-c
-            et, ec = math.exp(t), math.exp(-t - _SHIFT)
-            x = math.exp(-t - et + ec)
-            w = x * (1.0 + et + ec)
+        up_w.append(x * (1.0 + em + tail))
+        if down_open:                      # phi(-t) = -t - e^t + e^(-t-c)
+            tail = em * _EXP_SHIFT
+            x = math.exp(-t - ep + tail)
+            w = x * (1.0 + ep + tail)
             down_open = w >= _WEIGHT_FLOOR
             if down_open:
                 down_x.append(x)
                 down_w.append(w)
-        u = _HALF_PI * math.sinh(t)
-        e2 = math.exp(-2.0 * u)            # in (0, 1]
-        sech_u = 2.0 * math.exp(-u) / (1.0 + e2)
-        w0 = _HALF_PI * math.cosh(t) * sech_u * sech_u
-        if w0 != 0.0:
-            ds.append(2.0 * e2 / (1.0 + e2))
-            w0s.append(w0)
+        if tanh_open:
+            u = _HALF_PI * math.sinh(t)
+            e2 = math.exp(-2.0 * u)        # in (0, 1]
+            sech_u = 2.0 * math.exp(-u) / (1.0 + e2)
+            w0 = _HALF_PI * math.cosh(t) * sech_u * sech_u
+            tanh_open = w0 != 0.0
+            if tanh_open:
+                ds.append(2.0 * e2 / (1.0 + e2))
+                w0s.append(w0)
         k += step
     return (ds, w0s) + tuple(map(memoryview, (up_x, up_w, down_x, down_w)))
 
@@ -353,9 +357,8 @@ def _semi_infinite_tables(level: int) -> tuple:
     center x = exp(phi(0)) with its weight at level 0, the up side, then
     the down side."""
     _, _, up_x, up_w, down_x, down_w = _nodes(level)
-    ec = math.exp(-_SHIFT)                 # t = 0: phi = e^-c - 1, phi' = 2 + e^-c
-    x = math.exp(ec - 1.0)
-    return (x, x * (2.0 + ec)) if level == 0 else None, ((up_x, up_w), (down_x, down_w))
+    x = math.exp(_EXP_SHIFT - 1.0)        # t = 0: phi = e^-c - 1, phi' = 2 + e^-c
+    return (x, x * (2.0 + _EXP_SHIFT)) if level == 0 else None, ((up_x, up_w), (down_x, down_w))
 
 
 @functools.lru_cache(maxsize=_INTERVAL_TABLES)

@@ -254,7 +254,7 @@ def test_overflowing_span_stays_inside_the_interval():
 def _up_node(t):
     """The semi-infinite abscissa x(t) = exp(t - e^-t + e^(t-c)) at a
     level-0 t > 0, as the tables build it."""
-    return math.exp(t - math.exp(-t) + math.exp(t - 3.5))
+    return math.exp(t - math.exp(-t) + math.exp(t) * math.exp(-3.5))
 
 
 ONE_SIDED = [

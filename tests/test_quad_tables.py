@@ -159,7 +159,8 @@ def reference_finite(f, lo, hi, tol=DEFAULT_TOLERANCE, trim=True):
 
 def _phi(s):
     """The semi-infinite transform's x = exp(phi(s)) and dx/ds = x * dphi(s)."""
-    return s - math.exp(-s) + math.exp(s - _SHIFT), 1.0 + math.exp(-s) + math.exp(s - _SHIFT)
+    tail = math.exp(s) * math.exp(-_SHIFT)  # e^(s-c)
+    return s - math.exp(-s) + tail, 1.0 + math.exp(-s) + tail
 
 
 def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE, trim=True):
