@@ -29,16 +29,16 @@ Each transform has two sides, t > 0 and t < 0: right and left of the
 midpoint for tanh-sinh, up and down from x = exp(e^-c - 1) = 0.379 for
 (0, inf).  One sweep sums a level for both: its center node (level 0
 only), then the two sides in pairs outward, right before left and up
-before down, then the rest of the longer side.  Level 0 (h = 1) evaluates every node of
-both sides and also sums |w*f|.  Each side is then trimmed: every later
-level L sums only its first limit * 2**(L-1) nodes, those with t below
-one level-0 step past its outermost node whose |w*f| exceeds eps * (the
-level's sum of |w*f|), because past that node the terms are below
-roundoff.  A side whose own level-0 terms are all 0, or any side when
-that sum is not finite, is not trimmed, and a side whose outermost
-level-0 node is itself significant has nothing to trim.  A call that
-trims neither side evaluates every node of the tables.  On the
-benchmark's quad inputs trimming halves the integrand calls.  One
+before down, then the rest of the longer side.  Level 0 (h = 1)
+evaluates every node of both sides and also sums |w*f|.  Each side is
+then trimmed: every later level L sums only its first limit * 2**(L-1)
+nodes, those with t below one level-0 step past its outermost node whose
+|w*f| exceeds eps * (the level's sum of |w*f|), because past that node
+the terms are below roundoff.  A side whose own level-0 terms are all 0,
+or any side when that sum is not finite, is not trimmed, and a side
+whose outermost level-0 node is itself significant has nothing to trim.
+A call that trims neither side evaluates every node of the tables.  On
+the benchmark's quad inputs trimming halves the integrand calls.  One
 consequence: f is never called at later-level nodes beyond a side's
 limit, so a NaN that only such nodes would meet goes unseen.  A NaN at
 any level-0 node still raises.
@@ -124,7 +124,7 @@ _HALF_PI = math.pi / 2.0
 _WEIGHT_FLOOR = 1e-300  # truncate once the transformed weight underflows this far
 _EXP_ARG_CAP = 667.0    # keeps up-side nodes and weights finite (x <= ~1.3e289)
 _SHIFT = 3.5            # c in phi(t) = t - e^-t + e^(t-c); see the module docstring
-_EXP_SHIFT = math.exp(-_SHIFT)
+_EXP_MINUS_C = math.exp(-_SHIFT)
 _REL_TOL_FLOOR = 1e-14
 _EPS = 2.0 ** -52
 _ROUNDOFF = 8.0         # c of the estimate's roundoff floor c * eps * h * sum|w*f|
@@ -323,7 +323,7 @@ def _nodes(level: int) -> tuple:
     while True:
         t = k * h
         em, ep = math.exp(-t), math.exp(t)
-        tail = ep * _EXP_SHIFT             # e^(t-c)
+        tail = ep * _EXP_MINUS_C           # e^(t-c)
         phi = t - em + tail
         if phi > _EXP_ARG_CAP:
             break
@@ -331,7 +331,7 @@ def _nodes(level: int) -> tuple:
         up_x.append(x)
         up_w.append(x * (1.0 + em + tail))
         if down_open:                      # phi(-t) = -t - e^t + e^(-t-c)
-            tail = em * _EXP_SHIFT
+            tail = em * _EXP_MINUS_C
             x = math.exp(-t - ep + tail)
             w = x * (1.0 + ep + tail)
             down_open = w >= _WEIGHT_FLOOR
@@ -357,8 +357,9 @@ def _semi_infinite_tables(level: int) -> tuple:
     center x = exp(phi(0)) with its weight at level 0, the up side, then
     the down side."""
     _, _, up_x, up_w, down_x, down_w = _nodes(level)
-    x = math.exp(_EXP_SHIFT - 1.0)        # t = 0: phi = e^-c - 1, phi' = 2 + e^-c
-    return (x, x * (2.0 + _EXP_SHIFT)) if level == 0 else None, ((up_x, up_w), (down_x, down_w))
+    x = math.exp(_EXP_MINUS_C - 1.0)      # t = 0: phi = e^-c - 1, phi' = 2 + e^-c
+    center = (x, x * (2.0 + _EXP_MINUS_C)) if level == 0 else None
+    return center, ((up_x, up_w), (down_x, down_w))
 
 
 @functools.lru_cache(maxsize=_INTERVAL_TABLES)
