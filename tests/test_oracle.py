@@ -108,7 +108,7 @@ def _cases():
         ("1/(1+x^2)", lambda tol: integrate_semi_infinite(lambda x: 1.0 / (1.0 + x * x), tol),
          mpmath.pi / 2),
         ("x^-1/2/(1+x)",
-         lambda tol: integrate_semi_infinite(lambda x: x ** -0.5 / (1.0 + x), tol), +mpmath.pi),
+         lambda tol: integrate_semi_infinite(lambda x: x ** -0.5 / (1.0 + x), tol), mpmath.pi),
     ]
     return cases + _scaled_chain_cases(rng)
 
