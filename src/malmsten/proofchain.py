@@ -12,11 +12,12 @@ with passed=False and a diagnostic note.  Grid entries that violate a
 check's precondition are skipped and recorded as such.
 
 A check that integrates states its integrand, interval and closed side;
-_quadrature_check runs it and is the one home of the tolerance rule:
-rel_tol and abs_tol are both 1e-2 * tol, never below quad.DEFAULT_TOLERANCE's
-(1e-12 and 1e-15), so at tol <= 1e-13 every quadrature runs exactly as
-with the defaults.  The engine stops once two levels agree within
-max(abs_tol, rel_tol * |value|), the same either-or shape as a check's
+_quadrature_check runs it, and _quadrature_tolerance, which it calls,
+is the one home of the tolerance rule: rel_tol and abs_tol are both
+1e-2 * tol, never below quad.DEFAULT_TOLERANCE's (1e-12 and 1e-15), so
+at tol <= 1e-13 every quadrature runs exactly as with the defaults.
+The engine stops once two levels agree within max(abs_tol,
+rel_tol * |value|), the same either-or shape as a check's
 abs_err <= tol or rel_err <= tol, so the 1e-2 margin leaves the
 quadrature a hundredth of the residual the check allows.  A looser
 quadrature can only make a step fail, never pass a wrong identity: the
@@ -39,6 +40,7 @@ proofchain.check_<step> or proofchain.integrate_* (a test's rigged
 check or fake engine, a benchmark's timing wrapper) changes what runs.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -131,6 +133,14 @@ def _build_report(name: str, params: dict, lhs: float, rhs: float, tol: float,
                           passed, evaluations, note)
 
 
+@functools.lru_cache(maxsize=8)
+def _quadrature_tolerance(tol: float) -> ToleranceSpec:
+    """The quadrature tolerance of a check at tol, built once per tol:
+    a chain asks for it at every one of its quadratures."""
+    return ToleranceSpec(rel_tol=max(_QUAD_MARGIN * tol, DEFAULT_TOLERANCE.rel_tol),
+                         abs_tol=max(_QUAD_MARGIN * tol, DEFAULT_TOLERANCE.abs_tol))
+
+
 def _quadrature_check(name: str, params: dict, integrand: Callable[[float], float],
                       closed: float, tol, interval: tuple | None = None,
                       scale: float = 1.0) -> IdentityReport:
@@ -138,8 +148,7 @@ def _quadrature_check(name: str, params: dict, integrand: Callable[[float], floa
     None), divided by scale, as the lhs against closed as the rhs.  A
     check that integrates in y = scale * x passes its integrand in y."""
     tol = _checked_real(tol, "tol", floor=_TOL_FLOOR)
-    qtol = ToleranceSpec(rel_tol=max(_QUAD_MARGIN * tol, DEFAULT_TOLERANCE.rel_tol),
-                         abs_tol=max(_QUAD_MARGIN * tol, DEFAULT_TOLERANCE.abs_tol))
+    qtol = _quadrature_tolerance(tol)
     if interval is None:
         res = integrate_semi_infinite(integrand, qtol)
     else:

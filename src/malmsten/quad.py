@@ -27,21 +27,31 @@ stops once the transformed weight underflows below 1e-300.
 
 Each transform has two sides, t > 0 and t < 0: right and left of the
 midpoint for tanh-sinh, up and down from x = exp(e^-c - 1) = 0.379 for
-(0, inf).  One sweep sums a level for both: its center node (level 0
+(0, inf).  Every level is summed in one order: its center node (level 0
 only), then the two sides in pairs outward, right before left and up
 before down, then the rest of the longer side.  Level 0 (h = 1)
-evaluates every node of both sides and also sums |w*f|.  Each side is
-then trimmed: every later level L sums only its first limit * 2**(L-1)
-nodes, those with t below one level-0 step past its outermost node whose
-|w*f| exceeds eps * (the level's sum of |w*f|), because past that node
-the terms are below roundoff.  A side whose own level-0 terms are all 0,
-or any side when that sum is not finite, is not trimmed, and a side
-whose outermost level-0 node is itself significant has nothing to trim.
-A call that trims neither side evaluates every node of the tables.  On
-the benchmark's quad inputs trimming halves the integrand calls.  One
-consequence: f is never called at later-level nodes beyond a side's
-limit, so a NaN that only such nodes would meet goes unseen.  A NaN at
-any level-0 node still raises.
+evaluates every node of both sides in one loop that also keeps each
+side's terms w*f, and sums |w*f|.  Each side is then trimmed: every
+later level L sums only its first limit * 2**(L-1) nodes, those with t
+below one level-0 step past its outermost node whose |w*f| exceeds
+eps * (the level's sum of |w*f|), because past that node the terms are
+below roundoff.  A side whose own level-0 terms are all 0, or any side
+when that sum is not finite, is not trimmed, and a side whose outermost
+level-0 node is itself significant has nothing to trim.  A call that
+trims neither side evaluates every node of the tables.  On the
+benchmark's quad inputs trimming halves the integrand calls.  A later
+level is one loop over the pairs and one over the longer side's rest,
+and a side is sliced only where its limit falls short of its table.
+One consequence of trimming: f is never called at later-level nodes
+beyond a side's limit, so a NaN that only such nodes would meet goes
+unseen.  A NaN at any level-0 node still raises.
+
+A NaN is caught by each term's sign test: a term that is not >= 0 is
+either negative, and joins the sum of negative terms, or NaN, and
+raises QuadratureError.  Every weight is a positive finite float, so
+w*f is NaN exactly when f(x) is; an f that returns +inf at one node and
+-inf at another makes the sum NaN without raising, and the call does
+not converge.
 
 A converged result reports as error_estimate the largest of
 
@@ -75,24 +85,29 @@ for halfspan 1, where d is the distance from a node to its endpoint and
 w0 its weight.  The up side ends once phi(t) passes _EXP_ARG_CAP, at
 t ~ 9.99 (x ~ 4e289), the down side once w falls below the floor, at
 t ~ -6.54 (x ~ 2e-303); level 0 has 9 up nodes and 6 down.  These are
-cached by functools.cache.  ToleranceSpec caps max_level at 12, so at
-most 13 levels are ever kept: 25,279 tanh-sinh nodes and 67,688 (0, inf)
-ones with the center, 16 bytes each, about 1.5 MB.  A process that only
-integrates on (0, inf) builds the tanh-sinh ones too.
+cached by functools.cache.  The tables that levels are summed from are
+lists of floats, which a loop reads without making a float object per
+node; (d, w0), read only to build tanh-sinh's tables below, stay
+array('d'), at 8 bytes a value.  ToleranceSpec caps max_level at 12, so
+at most 13 levels are ever kept: 25,279 tanh-sinh nodes and 67,688
+(0, inf) ones with the center.  By tracemalloc (CPython 3.11, 64-bit)
+they take 4.8 MB, against 1.6 MB as arrays; levels 0-7, all that the
+benchmark's pools reach, take 0.15 MB.  A process that only integrates
+on (0, inf) builds the tanh-sinh ones too.
 
 tanh-sinh's (x, w) tables depend on the interval.  They are built from
 (d, w0) per (lo, hi, level), with the same per-node expressions
 (hi - halfspan*d, lo + halfspan*d, w0*halfspan): each side ends where
 its abscissa first rounds onto its endpoint, and both end where the
 weight first falls below the floor.  A functools.lru_cache keeps the 13
-built last, one interval's levels.  A table takes at most 24 bytes per
-node (a weight and an abscissa per side) and level 12, the longest, has
-12,640 nodes, so the cache holds at most 3.9 MB; on (0, 1) all 13
-levels take 0.50 MB.  Every integrate_finite call in the package is on
-(0, 1).  A call on an interval the cache does not hold first builds
-whole tables for every level it reaches, trimmed or not; on 900 calls
-over 300 one-off intervals with cheap integrands that doubled their
-time against the same calls on cached tables.
+built last, one interval's levels.  Level 12 is the longest: on
+(0, 1e300), with 6,482 right nodes and 12,620 left, its table takes
+1.07 MB by tracemalloc, so the cache holds at most about 14 MB (3.4 MB
+as arrays); on (0, 1) all 13 levels take 2.1 MB.  Every integrate_finite
+call in the package is on (0, 1).  A call on an interval the cache does
+not hold first builds whole tables for every level it reaches, trimmed
+or not; on 900 calls over 300 one-off intervals with cheap integrands
+that doubled their time against the same calls on cached tables.
 
 Two threads that ask for an uncached table at once may each build it;
 the cache keeps one, and both are identical.
@@ -203,94 +218,86 @@ def _limits(terms: tuple, abs_sum: float) -> list:
     return limits
 
 
-def _sweep(f: Callable[[float], float], center, sides: tuple, stops, terms) -> tuple:
-    """Sum w*f over one level's nodes.
-
-    center is the t = 0 node (x, w), or None; sides is a pair of (x, w)
-    tables, outward from the center.  Side s is summed over its first
-    stops[s] nodes, or all of them where stops[s] is None.  The sum runs
-    over the center, then the two sides in pairs outward, side 0 first,
-    then the rest of the longer side.  terms, None or a pair of lists,
-    receives each side's w*f.  Returns (sum of w*f, sum of |w*f|, number
-    of f calls, w*f at side 0's outermost node, the same for side 1).
-    """
-    partial = negative = 0.0               # sum of w*f, and of its negative terms
-    n = 0
-    if center is not None:
-        x, w = center
-        fx = f(x)
-        if fx != fx:
-            raise _nan_error(x)
-        partial += w * fx
-        if partial < 0.0:
-            negative = partial
-        n = 1
-    (xs0, ws0), (xs1, ws1) = sides
-    stop0, stop1 = stops
-    xs0, ws0, xs1, ws1 = xs0[:stop0], ws0[:stop0], xs1[:stop1], ws1[:stop1]
-    end0 = end1 = 0.0                      # w*f at each side's outermost node
-    for x, w, y, v in zip(xs0, ws0, xs1, ws1):
-        fx = f(x)
-        if fx != fx:
-            raise _nan_error(x)
-        end0 = w * fx
-        partial += end0
-        if end0 < 0.0:
-            negative += end0
-        fx = f(y)
-        if fx != fx:
-            raise _nan_error(y)
-        end1 = v * fx
-        partial += end1
-        if end1 < 0.0:
-            negative += end1
-        if terms:
-            terms[0].append(end0)
-            terms[1].append(end1)
-    n0 = len(xs0)
-    n1 = len(xs1)
-    if n0 != n1:                           # the side with more nodes goes on alone
-        both, side, xs, ws = (n1, 0, xs0, ws0) if n0 > n1 else (n0, 1, xs1, ws1)
-        for x, w in zip(xs[both:], ws[both:]):
-            fx = f(x)
-            if fx != fx:
-                raise _nan_error(x)
-            term = w * fx
-            partial += term
-            if term < 0.0:
-                negative += term
-            if terms:
-                terms[side].append(term)
-        if side:
-            end1 = term
-        else:
-            end0 = term
-    return partial, partial - 2.0 * negative, n + n0 + n1, end0, end1
-
-
 def _refine(f: Callable[[float], float], tables: Callable[[int], tuple],
             tol: ToleranceSpec) -> QuadratureResult:
     """Drive level doubling over a two-sided node sum.
 
-    tables(level) returns the (center, sides) that _sweep sums at step
-    h = 2**-level: every node at level 0, the center first; the odd
-    indexed ones after.  After level 0 each side sums only its nodes
-    with t below its limit, that is limit * 2**(level-1) nodes.  The
-    level-L value is h_L times the running total.
+    tables(level) returns (center, ((xs0, ws0), (xs1, ws1))) at step
+    h = 2**-level: every node at level 0, with the center node (x, w) or
+    None; the odd-indexed ones after, with no center.  A level sums w*f
+    over its center, then the two sides in pairs outward, side 0 first,
+    then the rest of the longer side.  Level 0 also keeps each side's
+    terms for _limits; each later level sums side s only over its nodes
+    with t below limit[s], that is its first limit[s] * 2**(level-1).
+    A level's sum of |w*f| is its sum of w*f minus twice its negative
+    terms.  The level-L value is h_L times the running total.
     """
-    terms = ([], [])
-    total, abs_total, count, _, _ = _sweep(f, *tables(0), (None, None), terms)
+    center, ((xs0, ws0), (xs1, ws1)) = tables(0)
+    terms = ([], [])                       # each side's level-0 w*f, outward
+    nodes = [] if center is None else [(*center, None)]
+    n0, n1 = len(xs0), len(xs1)
+    for k in range(max(n0, n1)):           # f's call order: the pairs, then the rest
+        if k < n0:
+            nodes.append((xs0[k], ws0[k], terms[0]))
+        if k < n1:
+            nodes.append((xs1[k], ws1[k], terms[1]))
+    total = negative = 0.0                 # sum of w*f, and of its negative terms
+    for x, w, side_terms in nodes:
+        term = w * f(x)
+        total += term
+        if not term >= 0.0:
+            if term != term:
+                raise _nan_error(x)
+            negative += term
+        if side_terms is not None:
+            side_terms.append(term)
+    abs_total = total - 2.0 * negative
+    count = len(nodes)
     limit0, limit1 = _limits(terms, abs_total)
     value = total
     diff = math.inf
     for level in range(1, tol.max_level + 1):
-        h = 0.5 ** level
+        _, ((xs0, ws0), (xs1, ws1)) = tables(level)
         per_step = 1 << (level - 1)        # nodes new at this level per level-0 step
-        stops = (limit0 * per_step, limit1 * per_step)
-        partial, abs_partial, n, end0, end1 = _sweep(f, *tables(level), stops, None)
+        stop = limit0 * per_step
+        if stop < len(xs0):
+            xs0, ws0 = xs0[:stop], ws0[:stop]
+        stop = limit1 * per_step
+        if stop < len(xs1):
+            xs1, ws1 = xs1[:stop], ws1[:stop]
+        partial = negative = 0.0
+        end0 = end1 = 0.0                  # w*f at each side's outermost node
+        for x, w, y, v in zip(xs0, ws0, xs1, ws1):
+            end0 = w * f(x)
+            partial += end0
+            if not end0 >= 0.0:
+                if end0 != end0:
+                    raise _nan_error(x)
+                negative += end0
+            end1 = v * f(y)
+            partial += end1
+            if not end1 >= 0.0:
+                if end1 != end1:
+                    raise _nan_error(y)
+                negative += end1
+        n0, n1 = len(xs0), len(xs1)
+        if n0 != n1:                       # the side with more nodes goes on alone
+            both, xs, ws = (n1, xs0, ws0) if n0 > n1 else (n0, xs1, ws1)
+            for x, w in zip(xs[both:], ws[both:]):
+                term = w * f(x)
+                partial += term
+                if not term >= 0.0:
+                    if term != term:
+                        raise _nan_error(x)
+                    negative += term
+            if n0 > n1:
+                end0 = term
+            else:
+                end1 = term
         total += partial
-        abs_total += abs_partial
-        count += n
+        abs_total += partial - 2.0 * negative
+        count += n0 + n1
+        h = 0.5 ** level
         prev = value
         value = h * total
         diff = abs(value - prev)
@@ -308,16 +315,17 @@ def _nodes(level: int) -> tuple:
     Returns (d, w0) for tanh-sinh at halfspan 1, then (x, w) for the
     semi-infinite transform's up side (t > 0) and (x, w) for its down
     side (t < 0), each with k ascending and without the t = 0 node.
-    Each array stops at its own rule: tanh-sinh at the first zero w0,
+    Each table stops at its own rule: tanh-sinh at the first zero w0,
     which is below the floor for any finite halfspan; the up side, which
     runs longest at every level and so ends the scan, once phi(t) passes
     _EXP_ARG_CAP; the down side once w falls below _WEIGHT_FLOOR.  The
-    semi-infinite arrays are memoryviews, so a sweep slices a side
-    without a copy.
+    semi-infinite sides are lists and (d, w0) arrays; see the module
+    docstring.  Callers never modify them.
     """
     h = 0.5 ** level
     step = 1 if level == 0 else 2
-    ds, w0s, up_x, up_w, down_x, down_w = (array("d") for _ in range(6))
+    ds, w0s = array("d"), array("d")
+    up_x, up_w, down_x, down_w = [], [], [], []
     down_open = tanh_open = True
     k = 1
     while True:
@@ -348,7 +356,7 @@ def _nodes(level: int) -> tuple:
                 ds.append(2.0 * e2 / (1.0 + e2))
                 w0s.append(w0)
         k += step
-    return (ds, w0s) + tuple(map(memoryview, (up_x, up_w, down_x, down_w)))
+    return ds, w0s, up_x, up_w, down_x, down_w
 
 
 @functools.cache
@@ -372,7 +380,8 @@ def _tanh_sinh_tables(lo: float, hi: float, level: int) -> tuple:
     rounds onto its endpoint, and both end where the weight first falls
     below _WEIGHT_FLOOR.  The center (mid, (pi/2)*halfspan) is kept at
     level 0 when its weight is above the floor and mid lies strictly
-    inside, which a tiny span can prevent.
+    inside, which a tiny span can prevent.  The sides are lists, which
+    callers never modify.
     """
     halfspan = 0.5 * (hi - lo)
     if not math.isfinite(halfspan):        # hi - lo overflowed
@@ -382,7 +391,7 @@ def _tanh_sinh_tables(lo: float, hi: float, level: int) -> tuple:
         mid = lo + halfspan
         if _HALF_PI * halfspan >= _WEIGHT_FLOOR and lo < mid < hi:
             center = (mid, _HALF_PI * halfspan)
-    right, left, ws = array("d"), array("d"), array("d")
+    right, left, ws = [], [], []
     right_open = left_open = True
     for d, w0 in zip(*_nodes(level)[:2]):
         w = w0 * halfspan
@@ -400,8 +409,7 @@ def _tanh_sinh_tables(lo: float, hi: float, level: int) -> tuple:
             left_open = x > lo
             if left_open:
                 left.append(x)
-    ws = memoryview(ws)
-    return center, ((memoryview(right), ws[:len(right)]), (memoryview(left), ws[:len(left)]))
+    return center, ((right, ws[:len(right)]), (left, ws[:len(left)]))
 
 
 def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
@@ -420,12 +428,15 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     hold builds its tables first, which can double the time of a call
     with a cheap integrand.
     """
-    if any(isinstance(v, float) and not math.isfinite(v) for v in (lo, hi)):
-        raise ValueError(f"bounds must be finite, got [{lo!r}, {hi!r}]")
-    lo = _checked_real(lo, "lo")
-    hi = _checked_real(hi, "hi")
-    if not lo < hi:
-        raise ValueError(f"lower bound must be strictly below upper, got [{lo!r}, {hi!r}]")
+    # Finite ordered floats, the usual call, pass one test; anything else
+    # is converted and checked bound by bound, each failure with its message.
+    if not (type(lo) is float and type(hi) is float and -math.inf < lo < hi < math.inf):
+        if any(isinstance(v, float) and not math.isfinite(v) for v in (lo, hi)):
+            raise ValueError(f"bounds must be finite, got [{lo!r}, {hi!r}]")
+        lo = _checked_real(lo, "lo")
+        hi = _checked_real(hi, "hi")
+        if not lo < hi:
+            raise ValueError(f"lower bound must be strictly below upper, got [{lo!r}, {hi!r}]")
     return _refine(f, functools.partial(_tanh_sinh_tables, lo, hi), tol)
 
 

@@ -18,7 +18,8 @@ what the engine does with them:
 The engine sums the same products in the same order from cached
 tables (tanh-sinh's built per interval from its halfspan-1 nodes), so
 results must agree bit for bit: compared by repr, value, estimate,
-evaluation count and verdict.  The one intended difference is a call
+evaluation count and verdict, on seeded integrands, on the
+benchmark's own quad ops and on the identity chain.  The one intended difference is a call
 that evaluates f nowhere, which the engine reports as converged=False
 with an infinite estimate.
 
@@ -28,14 +29,18 @@ and the tables' safety when threads build a cold level at once.
 """
 
 import dataclasses
+import importlib.util
 import math
 import random
 import re
 import sys
 import threading
+import types
+from pathlib import Path
 
 import pytest
 
+import malmsten
 from malmsten import proofchain, quad
 from malmsten.quad import (
     DEFAULT_TOLERANCE,
@@ -359,6 +364,42 @@ def test_nan_met_where_one_side_goes_on_alone():
     assert str(got.value) == str(expected.value)
 
 
+def _level1_first_nodes(engine):
+    """The first node of each side at level 1, side 0 first."""
+    if engine is integrate_finite:
+        (right, _), (left, _) = quad._tanh_sinh_tables(0.0, 1.0, 1)[1]
+        return right[0], left[0]
+    return quad._nodes(1)[2][0], quad._nodes(1)[4][0]
+
+
+@pytest.mark.parametrize("engine, reference, args", [
+    (integrate_finite, reference_finite, (0.0, 1.0)),
+    (integrate_semi_infinite, reference_semi_infinite, ()),
+])
+def test_infinite_terms_of_both_signs_raise_no_nan_error(engine, reference, args):
+    # f is +inf at one level-1 node and -inf at the other, so the level's
+    # sum is inf - inf = NaN although f never returns NaN: the call runs
+    # on without converging.  A NaN from f at the second node still
+    # raises, so the NaN test must also see terms that are not < 0.
+    plus, minus = _level1_first_nodes(engine)
+
+    def f(x):
+        return math.inf if x == plus else -math.inf if x == minus else math.exp(-x)
+
+    got = engine(f, *args)
+    assert not got.converged and math.isnan(got.value)
+    assert repr(got) == repr(reference(f, *args))
+
+    def g(x):
+        return math.nan if x == minus else f(x)
+
+    with pytest.raises(QuadratureError, match=re.escape(f"at x = {minus!r}") + "$") as got:
+        engine(g, *args)
+    with pytest.raises(QuadratureError) as expected:
+        reference(g, *args)
+    assert str(got.value) == str(expected.value)
+
+
 def _level0_abscissae():
     nodes = {math.exp(_phi(0.0)[0])}
     for k in range(1, 10):
@@ -389,6 +430,29 @@ def test_infinite_level0_sum_is_not_trimmed():
     got = integrate_semi_infinite(f, ToleranceSpec(max_level=4))
     assert not got.converged
     assert repr(got) == repr(reference_semi_infinite(f, ToleranceSpec(max_level=4), trim=False))
+
+
+def _load_workloads():
+    path = Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_quad_traffic_matches_reference():
+    # A seeded sample of the benchmark's own quad ops, each run once by
+    # the engine and once by the reference engine in its place.
+    workloads = _load_workloads()
+    cases = random.Random(20240603).sample(workloads.make_inputs("quad", 1), 200)
+    assert {kind for kind, _, _ in cases} == set(workloads.QUAD_KINDS)
+    referenced = types.SimpleNamespace(**{
+        **vars(malmsten),
+        "integrate_finite": lambda *args: _expected(reference_finite(*args)),
+        "integrate_semi_infinite": lambda *args: _expected(reference_semi_infinite(*args))})
+    for case in cases:
+        got = workloads._op_quad(malmsten, case)
+        assert repr(got) == repr(workloads._op_quad(referenced, case)), case
 
 
 def test_full_chain_matches_reference(monkeypatch):
