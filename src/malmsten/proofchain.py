@@ -354,8 +354,12 @@ def check_t_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     1e-12.  In y the e^{-y} factor puts it near y = 1 for every a, and
     the same quadrature takes 121.
 
-    Requires |a| > SMALL_A_CUTOFF; below that the integrand decays too
-    slowly for the quadrature to be trusted.
+    Requires |a| > SMALL_A_CUTOFF.  For this step the cutoff bounds
+    cost, not accuracy: at DEFAULT_TOLERANCE the quadrature takes 233
+    calls at |a| = 1e-3, and is within 2.2e-16 relative at 1e-6 and 1e-9
+    (457 and 905 calls) and within 5e-16 at 1e-12 (1,801 calls).  The
+    cutoff is shared with check_z_domain, whose quadrature at a = 1e-9
+    does not converge (29,382 calls).
     """
     a = _checked_real(a, "a")
     if abs(a) <= SMALL_A_CUTOFF:

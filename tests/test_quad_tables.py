@@ -16,19 +16,21 @@ what the engine does with them:
               w*f minus twice the sum of its negative terms.
 
 The engine sums the same products in the same order from cached
-tables (tanh-sinh's built per interval from its halfspan-1 nodes), so
-results must agree bit for bit: compared by repr, value, estimate,
-evaluation count and verdict, on seeded integrands, on the
-benchmark's own quad ops and on the identity chain.  The one intended difference is a call
-that evaluates f nowhere, which the engine reports as converged=False
-with an infinite estimate.
+tables (tanh-sinh's built per interval), so results must agree bit for
+bit: compared by repr, value, estimate, evaluation count and verdict,
+on seeded integrands, on the benchmark's own quad ops and on the
+identity chain.  The one intended difference is a call that evaluates
+f nowhere, which the engine reports as converged=False with an infinite
+estimate.
 
 The remaining tests pin the tables' size under the 12-level cap, the
 bound on the per-interval tanh-sinh tables and their use by the chain,
-and the tables' safety when threads build a cold level at once.
+that each transform fills only its own table cache, and the tables'
+safety when threads build a cold level at once.
 """
 
 import dataclasses
+import functools
 import importlib.util
 import math
 import random
@@ -343,7 +345,7 @@ def test_level0_up_side_goes_on_alone():
     # from both loops: the semi-infinite up side has 9 level-0 nodes and
     # its down side 6, and on (0, 1) tanh-sinh's right side has 3 and its
     # left side 6.  The reference sweeps above check the trim either way.
-    assert (len(quad._nodes(0)[2]), len(quad._nodes(0)[4])) == (9, 6)
+    assert [len(xs) for xs, _ in quad._semi_infinite_tables(0)[1]] == [9, 6]
 
 
 def test_nan_met_where_one_side_goes_on_alone():
@@ -355,8 +357,11 @@ def test_nan_met_where_one_side_goes_on_alone():
             return float("nan")
         return 0.0 if x < 1.0 else math.exp(-x)
 
-    x = quad._nodes(5)[4][-1]
-    assert x < 1e-300 <= min(quad._nodes(level)[4][-1] for level in range(5))
+    def down_side(level):
+        return quad._semi_infinite_tables(level)[1][1][0]
+
+    x = down_side(5)[-1]
+    assert x < 1e-300 <= min(down_side(level)[-1] for level in range(5))
     with pytest.raises(QuadratureError, match=re.escape(f"at x = {x!r}") + "$") as got:
         integrate_semi_infinite(f)
     with pytest.raises(QuadratureError) as expected:
@@ -368,8 +373,9 @@ def _level1_first_nodes(engine):
     """The first node of each side at level 1, side 0 first."""
     if engine is integrate_finite:
         (right, _), (left, _) = quad._tanh_sinh_tables(0.0, 1.0, 1)[1]
-        return right[0], left[0]
-    return quad._nodes(1)[2][0], quad._nodes(1)[4][0]
+    else:
+        (right, _), (left, _) = quad._semi_infinite_tables(1)[1]
+    return right[0], left[0]
 
 
 @pytest.mark.parametrize("engine, reference, args", [
@@ -466,18 +472,25 @@ def test_full_chain_matches_reference(monkeypatch):
 # -- table size and thread safety ---------------------------------------------
 
 def _node_counts():
-    """(tanh-sinh, semi-infinite) nodes over the 13 cached levels; the
-    semi-infinite count takes its center once, and every up and down node."""
-    assert quad._nodes.cache_info().currsize == 13
-    tables = [quad._nodes(level) for level in range(13)]
-    return (sum(len(t[0]) for t in tables),
-            1 + sum(len(t[2]) + len(t[4]) for t in tables))
+    """(tanh-sinh on (0, 1), semi-infinite) nodes over the 13 cached
+    levels, each counting its center once and every node of both sides."""
+    assert quad._tanh_sinh_tables.cache_info().currsize == 13
+    assert quad._semi_infinite_tables.cache_info().currsize == 13
+    counts = []
+    for tables in (functools.partial(quad._tanh_sinh_tables, 0.0, 1.0),
+                   quad._semi_infinite_tables):
+        counts.append(1 + sum(len(xs) for level in range(13) for xs, _ in tables(level)[1]))
+    return tuple(counts)
+
+
+def _table_caches():
+    """Every functools cache in quad, by name."""
+    return {name: obj for name, obj in vars(quad).items() if hasattr(obj, "cache_info")}
 
 
 def _clear_tables():
-    quad._nodes.cache_clear()
-    quad._semi_infinite_tables.cache_clear()
-    quad._tanh_sinh_tables.cache_clear()
+    for cache in _table_caches().values():
+        cache.cache_clear()
 
 
 @pytest.fixture
@@ -495,7 +508,7 @@ def _divergent_sweep(max_level):
 
 def test_tables_hold_levels_up_to_twelve(cold_tables):
     _divergent_sweep(12)
-    assert _node_counts() == (25_279, 67_688)
+    assert _node_counts() == (37_963, 67_688)
 
 
 def test_interval_tables_stay_bounded_and_serve_the_chain(cold_tables):
@@ -512,6 +525,20 @@ def test_interval_tables_stay_bounded_and_serve_the_chain(cold_tables):
     proofchain.run_full_chain([0.25, 0.5, 1.0, 2.0, 4.0])
     info = quad._tanh_sinh_tables.cache_info()
     assert info.hits > 0 and info.misses <= 13
+
+
+@pytest.mark.parametrize("integrate, own_cache", [
+    (lambda: integrate_semi_infinite(lambda x: math.exp(-x)), "_semi_infinite_tables"),
+    (lambda: integrate_finite(lambda x: math.exp(-x), 0.0, 1.0), "_tanh_sinh_tables"),
+], ids=["semi_infinite", "finite"])
+def test_each_transform_fills_only_its_own_cache(integrate, own_cache):
+    # A process that integrates on one kind of interval builds no node
+    # of the other transform.
+    caches = _table_caches()
+    assert own_cache in caches
+    _clear_tables()
+    integrate()
+    assert {name for name, cache in caches.items() if cache.cache_info().currsize} == {own_cache}
 
 
 def test_levels_above_twelve_are_rejected():
@@ -538,4 +565,4 @@ def test_cold_tables_built_by_racing_threads(cold_tables):
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == len(threads)
     assert all(repr(r) == repr(expected) for r in results)
-    assert _node_counts() == (25_279, 67_688)
+    assert _node_counts() == (37_963, 67_688)
