@@ -70,13 +70,6 @@ def delta_closed(a: float) -> float:
     return 2.0 * (_HALF_LN_2 + _lgamma_ratio(0.5 * abs(_checked_real(a, "a"))))
 
 
-def vardi_b_constant() -> float:
-    """int_0^inf ln(x)/cosh(x) dx = pi ln( 2 pi^{3/2} / Gamma(1/4)^2 ),
-    evaluated as a sum of logarithms; 4.1e-15 relative off the exact
-    value."""
-    return math.pi * (_LN_2 + 1.5 * _LN_PI - 2.0 * _LN_GAMMA_QUARTER)
-
-
 def malmsten_c(params: MalmstenParams) -> float:
     """int_0^inf ln(a x)/cosh(b x) dx for positive scales a and b.
 
@@ -97,6 +90,12 @@ def malmsten_c(params: MalmstenParams) -> float:
         - 2.0 * _LN_GAMMA_QUARTER
     )
     return math.pi * (bracket / params.b) if scale == math.inf else scale * bracket
+
+
+def vardi_b_constant() -> float:
+    """int_0^inf ln(x)/cosh(x) dx = pi ln( 2 pi^{3/2} / Gamma(1/4)^2 ),
+    malmsten_c at a = b = 1; 4.1e-15 relative off the exact value."""
+    return malmsten_c(MalmstenParams(1.0, 1.0))
 
 
 def delta_derivative(a: float) -> float:

@@ -8,8 +8,8 @@ singularities of log or power type (exponent > -1):
     tanh-sinh, finite [lo, hi]:   x(t) = mid + halfspan * tanh((pi/2) sinh t)
     (0, inf):                     x(t) = exp(phi(t)),  phi(t) = t - e^-t + e^(t-c)
 
-The second is Takahasi and Mori's x = exp(t - e^-t), which gives an
-integrand that decays like e^-x double-exponential decay in t (Mori &
+The second is Takahasi and Mori's x = exp(t - e^-t), which turns an
+integrand's e^-x decay into double-exponential decay in t (Mori &
 Sugihara, J. Comput. Appl. Math. 127 (2001) 287-296), plus e^(t-c): it
 takes over from x ~ e^c and makes an x^-2 tail, which exp(t - e^-t)
 leaves single-exponential, double-exponential too.  c = 3.5 (_SHIFT):
@@ -19,11 +19,12 @@ estimate at rel_tol 1e-6.
 
 Refinement halves the step h and evaluates only the new odd-index
 nodes, so earlier levels are reused in full.  Convergence is declared
-when two successive levels agree within tolerance; a call that could
-evaluate f at no node at all never claims it.  Node placement never
-lands exactly on an interval endpoint: nodes that would round onto lo
-or hi are dropped (the mass they carry is below roundoff), and the scan
-stops once the transformed weight underflows below 1e-300.
+when two successive levels agree within tolerance, which must happen
+within 12 levels (h = 2**-12 at the last); a call that could evaluate f
+at no node at all never claims it.  Node placement never lands exactly
+on an interval endpoint: nodes that would round onto lo or hi are
+dropped (the mass they carry is below roundoff), and the scan stops
+once the transformed weight underflows below 1e-300.
 
 Each transform has two sides, t > 0 and t < 0: right and left of the
 midpoint for tanh-sinh, up and down from x = exp(e^-c - 1) = 0.379 for
@@ -90,8 +91,8 @@ functools.cache, one per level.  Their up side ends once phi(t) passes
 _EXP_ARG_CAP, at t ~ 9.99 (x ~ 4e289), the down side once w falls below
 the floor, at t ~ -6.54 (x ~ 2e-303); level 0 has 9 up nodes and 6
 down.  The tables are lists of floats, which a loop reads without making
-a float object per node.  ToleranceSpec caps max_level at 12, so at most
-13 levels are ever kept: 67,688 (0, inf) nodes with the center.  By
+a float object per node.  Refinement stops at level 12, so at most 13
+levels are kept: 67,688 (0, inf) nodes with the center.  By
 tracemalloc (CPython 3.11, 64-bit) they take 4.4 MB, against 1.1 MB as
 arrays; levels 0-7, all that the benchmark's pools reach, take 0.14 MB.
 
@@ -122,7 +123,6 @@ warm.
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -158,27 +158,18 @@ class ToleranceSpec:
     """Requested accuracy for one quadrature call.
 
     rel_tol below 1e-14 is rejected: successive-level agreement that
-    tight cannot be distinguished from double-precision roundoff.
-    max_level, the deepest refinement level, must be an integer in
-    [1, 12] and is stored as an int.
+    tight cannot be distinguished from double-precision roundoff.  Every
+    call refines within 12 levels; the depth is not configurable.
     """
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-15
-    max_level: int = _MAX_LEVEL
 
     def __post_init__(self):
         object.__setattr__(self, "rel_tol", _checked_real(self.rel_tol, "rel_tol", True))
         if self.rel_tol < _REL_TOL_FLOOR:
             raise ValueError(f"rel_tol {self.rel_tol!r} is below the honesty floor {_REL_TOL_FLOOR}")
         object.__setattr__(self, "abs_tol", _checked_real(self.abs_tol, "abs_tol", True))
-        try:
-            level = operator.index(self.max_level)
-        except TypeError:
-            level = 0
-        if not 1 <= level <= _MAX_LEVEL:
-            raise ValueError(f"max_level must be an integer in [1, {_MAX_LEVEL}], got {self.max_level!r}")
-        object.__setattr__(self, "max_level", level)
 
 
 DEFAULT_TOLERANCE = ToleranceSpec()
@@ -237,7 +228,7 @@ def _refine(f: Callable[[float], float], tables: Callable[[int], tuple],
     """
     center, ((xs0, ws0), (xs1, ws1)) = tables(0)
     terms = ([], [])                       # each side's level-0 w*f, outward
-    nodes = [] if center is None else [(*center, None)]
+    nodes = [] if center is None else [(*center, [])]  # the center's term is not kept
     n0, n1 = len(xs0), len(xs1)
     for k in range(max(n0, n1)):           # f's call order: the pairs, then the rest
         if k < n0:
@@ -252,14 +243,13 @@ def _refine(f: Callable[[float], float], tables: Callable[[int], tuple],
             if term != term:
                 raise _nan_error(x)
             negative += term
-        if side_terms is not None:
-            side_terms.append(term)
+        side_terms.append(term)
     abs_total = total - 2.0 * negative
     count = len(nodes)
     limit0, limit1 = _limits(terms, abs_total)
     value = total
     diff = math.inf
-    for level in range(1, tol.max_level + 1):
+    for level in range(1, _MAX_LEVEL + 1):
         _, ((xs0, ws0), (xs1, ws1)) = tables(level)
         per_step = 1 << (level - 1)        # nodes new at this level per level-0 step
         stop = limit0 * per_step
@@ -374,8 +364,7 @@ def _tanh_sinh_tables(lo: float, hi: float, level: int) -> tuple:
         mid = lo + halfspan
         if _HALF_PI * halfspan >= _WEIGHT_FLOOR and lo < mid < hi:
             center = (mid, _HALF_PI * halfspan)
-    right, left, ws = [], [], []
-    right_open = left_open = True
+    ws, offs = [], []                      # weights, and distances halfspan*d
     for t in _steps(level):
         u = _HALF_PI * math.sinh(t)
         e2 = math.exp(-2.0 * u)            # in (0, 1]
@@ -384,17 +373,9 @@ def _tanh_sinh_tables(lo: float, hi: float, level: int) -> tuple:
         if w < _WEIGHT_FLOOR:
             break
         ws.append(w)
-        off = halfspan * (2.0 * e2 / (1.0 + e2))
-        if right_open:
-            x = hi - off
-            right_open = x < hi
-            if right_open:
-                right.append(x)
-        if left_open:
-            x = lo + off
-            left_open = x > lo
-            if left_open:
-                left.append(x)
+        offs.append(halfspan * (2.0 * e2 / (1.0 + e2)))
+    right = list(itertools.takewhile(hi.__gt__, (hi - off for off in offs)))
+    left = list(itertools.takewhile(lo.__lt__, (lo + off for off in offs)))
     return center, ((right, ws[:len(right)]), (left, ws[:len(left)]))
 
 
@@ -405,9 +386,9 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     lo < hi must both be finite.  f is never called at lo or hi exactly,
     although nodes may come within 1e-300 of them, so log or power
     endpoint singularities with exponent > -1 integrate cleanly.  A NaN
-    from f aborts with QuadratureError; failure to converge within
-    tol.max_level levels, or a span too narrow for any node to fall
-    strictly inside it, is reported via converged=False.
+    from f aborts with QuadratureError; failure to converge within 12
+    levels, or a span too narrow for any node to fall strictly inside
+    it, is reported via converged=False.
 
     The node tables of the last 13 (lo, hi, level) used are kept, which
     is every level of one interval.  A call on an interval they do not

@@ -556,7 +556,6 @@ def test_quadrature_tolerance_follows_the_check(monkeypatch, tol, rel_tol, abs_t
     assert len(seen) == 9
     for qtol in seen:
         assert (qtol.rel_tol, qtol.abs_tol) == (rel_tol, abs_tol)
-        assert qtol.max_level == DEFAULT_TOLERANCE.max_level
 
 
 def test_tightest_tol_runs_the_default_quadrature(monkeypatch):

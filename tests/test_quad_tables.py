@@ -59,6 +59,7 @@ _EXP_ARG_CAP = 667.0
 _SHIFT = 3.5  # c in the semi-infinite transform's phi(t) = t - e^-t + e^(t-c)
 _T_CAP = 16.0
 _EPS = 2.0 ** -52
+_MAX_LEVEL = 12  # the deepest level the engine refines to
 _UNTRIMMED = (math.inf, math.inf)
 
 
@@ -84,14 +85,15 @@ def _trim_limits(sides, abs_total):
     return limits
 
 
-def _refine(new_nodes, tol, count, trim):
+def _refine(new_nodes, tol, count, trim, depth):
     """new_nodes(h, first, limits) -> (sum w*f, sum |w*f|, w*f of each
-    side's nodes outward), side 0 being the one the engine sums first."""
+    side's nodes outward), side 0 being the one the engine sums first;
+    levels 1 to depth follow level 0."""
     total, abs_total, sides = new_nodes(1.0, True, _UNTRIMMED)
     limits = _trim_limits(sides, abs_total) if trim else _UNTRIMMED
     value = total
     diff = math.inf
-    for level in range(1, tol.max_level + 1):
+    for level in range(1, depth + 1):
         h = 0.5 ** level
         partial, abs_partial, sides = new_nodes(h, False, limits)
         total += partial
@@ -107,7 +109,7 @@ def _refine(new_nodes, tol, count, trim):
     return QuadratureResult(value, estimate, count[0], False)
 
 
-def reference_finite(f, lo, hi, tol=DEFAULT_TOLERANCE, trim=True):
+def reference_finite(f, lo, hi, tol=DEFAULT_TOLERANCE, trim=True, depth=_MAX_LEVEL):
     halfspan = 0.5 * (hi - lo)
     mid = lo + halfspan
     count = [0]
@@ -161,7 +163,7 @@ def reference_finite(f, lo, hi, tol=DEFAULT_TOLERANCE, trim=True):
             k += step
         return partial, partial - 2.0 * negative, sides
 
-    return _refine(new_nodes, tol, count, trim)
+    return _refine(new_nodes, tol, count, trim, depth)
 
 
 def _phi(s):
@@ -170,7 +172,7 @@ def _phi(s):
     return s - math.exp(-s) + tail, 1.0 + math.exp(-s) + tail
 
 
-def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE, trim=True):
+def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE, trim=True, depth=_MAX_LEVEL):
     count = [0]
 
     def new_nodes(h, first, limits):
@@ -218,7 +220,7 @@ def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE, trim=True):
             k += step
         return partial, partial - 2.0 * negative, sides
 
-    return _refine(new_nodes, tol, count, trim)
+    return _refine(new_nodes, tol, count, trim, depth)
 
 
 def _expected(ref: QuadratureResult) -> QuadratureResult:
@@ -254,9 +256,10 @@ def _semi_integrands(c):
 
 
 def _tolerance(rng):
-    return ToleranceSpec(rel_tol=rng.choice([1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3]),
-                         abs_tol=rng.choice([1e-300, 1e-15, 1e-12, 1e-9]),
-                         max_level=rng.randint(1, 12))
+    """A seeded ToleranceSpec and refinement depth, drawn in that order."""
+    return (ToleranceSpec(rel_tol=rng.choice([1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3]),
+                          abs_tol=rng.choice([1e-300, 1e-15, 1e-12, 1e-9])),
+            rng.randint(1, _MAX_LEVEL))
 
 
 def _interval(rng):
@@ -277,33 +280,40 @@ def _interval(rng):
 
 
 def test_finite_matches_reference():
+    # Each draw's depth is the engine's refinement cap for that draw.  A
+    # context, not the fixture, because
+    # test_interval_tables_stay_bounded_and_serve_the_chain calls this test.
     rng = random.Random(20240601)
-    for _ in range(200):
-        lo, hi = _interval(rng)
-        tol = _tolerance(rng)
-        for f in _finite_integrands(lo, hi):
-            got = integrate_finite(f, lo, hi, tol)
-            assert repr(got) == repr(_expected(reference_finite(f, lo, hi, tol))), (lo, hi, tol)
+    with pytest.MonkeyPatch.context() as cap:
+        for _ in range(200):
+            lo, hi = _interval(rng)
+            tol, depth = _tolerance(rng)
+            cap.setattr(quad, "_MAX_LEVEL", depth)
+            for f in _finite_integrands(lo, hi):
+                got = integrate_finite(f, lo, hi, tol)
+                ref = reference_finite(f, lo, hi, tol, depth=depth)
+                assert repr(got) == repr(_expected(ref)), (lo, hi, tol, depth)
 
 
-def test_semi_infinite_matches_reference():
+def test_semi_infinite_matches_reference(monkeypatch):
     rng = random.Random(20240602)
     for _ in range(120):
         c = 10.0 ** rng.uniform(-2.0, 2.0)
-        tol = _tolerance(rng)
+        tol, depth = _tolerance(rng)
+        monkeypatch.setattr(quad, "_MAX_LEVEL", depth)
         for f in _semi_integrands(c):
             got = integrate_semi_infinite(f, tol)
-            assert repr(got) == repr(reference_semi_infinite(f, tol)), (c, tol)
+            assert repr(got) == repr(reference_semi_infinite(f, tol, depth=depth)), (c, tol, depth)
 
 
-def test_tiny_span_matches_reference_or_reports_no_evaluation():
+def test_tiny_span_matches_reference_or_reports_no_evaluation(monkeypatch):
     # Spans at and below the weight floor: the reference evaluates f
     # nowhere yet claims convergence, which the engine no longer does.
     for hi in (1e-290, 1e-299, 1e-300, 1e-305, 1e-310, 1e-320):
-        for max_level in (1, 6, 12):
-            tol = ToleranceSpec(max_level=max_level)
-            ref = reference_finite(math.exp, 0.0, hi, tol)
-            assert repr(integrate_finite(math.exp, 0.0, hi, tol)) == repr(_expected(ref))
+        for depth in (1, 6, 12):
+            monkeypatch.setattr(quad, "_MAX_LEVEL", depth)
+            ref = reference_finite(math.exp, 0.0, hi, depth=depth)
+            assert repr(integrate_finite(math.exp, 0.0, hi)) == repr(_expected(ref))
 
 
 @pytest.mark.parametrize("cut", [0.3, 0.9, 0.999, 1.5, 40.0])
@@ -406,6 +416,29 @@ def test_infinite_terms_of_both_signs_raise_no_nan_error(engine, reference, args
     assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("engine, reference, args, window", [
+    (integrate_finite, reference_finite, (0.0, 1.0), (0.8, 0.9)),
+    (integrate_semi_infinite, reference_semi_infinite, (), (0.9, 1.0)),
+], ids=["finite", "semi_infinite"])
+def test_nan_on_side0_of_a_later_level_matches_reference(engine, reference, args, window):
+    # The window holds side 0's first level-1 node and no level-0 node
+    # (those are 0.5 and 0.9757 on (0, 1)'s right, 0.379 and 2.04 on
+    # (0, inf)'s up side), so the NaN is first met in level 1's pair
+    # loop, on side 0.
+    lo, hi = window
+    first = _level1_first_nodes(engine)[0]
+    assert lo < first < hi
+
+    def f(x):
+        return math.nan if lo < x < hi else math.exp(-x)
+
+    with pytest.raises(QuadratureError, match=re.escape(f"at x = {first!r}") + "$") as got:
+        engine(f, *args)
+    with pytest.raises(QuadratureError) as expected:
+        reference(f, *args)
+    assert str(got.value) == str(expected.value)
+
+
 def _level0_abscissae():
     nodes = {math.exp(_phi(0.0)[0])}
     for k in range(1, 10):
@@ -427,15 +460,16 @@ def test_zero_at_every_level0_node_is_not_trimmed():
     assert got.evaluations > integrate_semi_infinite(lambda x: math.exp(-x)).evaluations
 
 
-def test_infinite_level0_sum_is_not_trimmed():
+def test_infinite_level0_sum_is_not_trimmed(monkeypatch):
     center = math.exp(_phi(0.0)[0])
 
     def f(x):
         return math.inf if x == center else math.exp(-x)
 
-    got = integrate_semi_infinite(f, ToleranceSpec(max_level=4))
+    monkeypatch.setattr(quad, "_MAX_LEVEL", 4)
+    got = integrate_semi_infinite(f)
     assert not got.converged
-    assert repr(got) == repr(reference_semi_infinite(f, ToleranceSpec(max_level=4), trim=False))
+    assert repr(got) == repr(reference_semi_infinite(f, trim=False, depth=4))
 
 
 def _load_workloads():
@@ -498,16 +532,16 @@ def cold_tables():
     _clear_tables()
 
 
-def _divergent_sweep(max_level):
-    tol = ToleranceSpec(max_level=max_level)
-    finite = integrate_finite(lambda z: 1.0 / z, 0.0, 1.0, tol)
-    semi = integrate_semi_infinite(lambda x: 1.0, tol)
+def _divergent_sweep():
+    """Two calls that never converge, so they build all 13 levels."""
+    finite = integrate_finite(lambda z: 1.0 / z, 0.0, 1.0)
+    semi = integrate_semi_infinite(lambda x: 1.0)
     assert not (finite.converged or semi.converged)
     return finite, semi
 
 
 def test_tables_hold_levels_up_to_twelve(cold_tables):
-    _divergent_sweep(12)
+    _divergent_sweep()
     assert _node_counts() == (37_963, 67_688)
 
 
@@ -541,17 +575,11 @@ def test_each_transform_fills_only_its_own_cache(integrate, own_cache):
     assert {name for name, cache in caches.items() if cache.cache_info().currsize} == {own_cache}
 
 
-def test_levels_above_twelve_are_rejected():
-    with pytest.raises(ValueError, match=r"max_level must be an integer in \[1, 12\], got 13"):
-        ToleranceSpec(max_level=13)
-    assert ToleranceSpec(max_level=12) == DEFAULT_TOLERANCE
-
-
 def test_cold_tables_built_by_racing_threads(cold_tables):
-    expected = _divergent_sweep(12)
+    expected = _divergent_sweep()
     _clear_tables()
     results = []
-    threads = [threading.Thread(target=lambda: results.append(_divergent_sweep(12)))
+    threads = [threading.Thread(target=lambda: results.append(_divergent_sweep()))
                for _ in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
