@@ -28,7 +28,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .closedform import MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
 from .proofchain import (
@@ -44,8 +44,7 @@ from .specfun import _checked_real
 __all__ = ["OutputRecord", "render_json", "render_csv", "parse_json", "parse_csv", "main"]
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(NamedTuple):
     """One command's worth of output: what ran, with which parameters,
     what came out, and how long it took (milliseconds)."""
 
@@ -81,19 +80,13 @@ def _json_value(v) -> str:
         return json.dumps(v)
     if isinstance(v, dict):
         return "{" + ",".join(f"{json.dumps(str(k))}:{_json_value(x)}" for k, x in v.items()) + "}"
-    if isinstance(v, (list, tuple)):
+    if type(v) in (list, tuple):  # a record is a tuple too, but renders only via _asdict
         return "[" + ",".join(_json_value(x) for x in v) + "]"
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
-def _field_dict(obj) -> dict:
-    """A dataclass instance's fields in order.  Unlike dataclasses.asdict
-    it copies no value; the record only reads them."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
 def render_json(record: OutputRecord) -> str:
-    return _json_value(_field_dict(record))
+    return _json_value(record._asdict())
 
 
 def parse_json(text: str) -> OutputRecord:
@@ -198,7 +191,7 @@ def _cmd_quad(args):
     res = integrate_semi_infinite(integrand(), tol)
     if not math.isfinite(res.value):
         raise QuadratureError(f"quadrature diverged (value {res.value!r})")
-    return params, _field_dict(res)
+    return params, res._asdict()
 
 
 def _parse_grid(text: str):
@@ -210,7 +203,7 @@ def _parse_grid(text: str):
 
 def _step_dict(step) -> dict:
     # IdentityReport's fields in order, with "passed" keyed as "pass".
-    return {("pass" if k == "passed" else k): v for k, v in _field_dict(step).items()}
+    return {("pass" if k == "passed" else k): v for k, v in step._asdict().items()}
 
 
 def _cmd_verify(args):
@@ -218,7 +211,7 @@ def _cmd_verify(args):
     report = _as_usage(run_full_chain, grid, _checked_param(args.tol, "tol"))
     return {"grid": grid, "tol": float(args.tol)}, {
         "steps": [_step_dict(s) for s in report.steps],
-        "skipped": [_field_dict(s) for s in report.skipped],
+        "skipped": [s._asdict() for s in report.skipped],
         "overall_pass": report.overall_pass,
         "total_evaluations": report.total_evaluations,
     }

@@ -18,7 +18,7 @@ the absolute error only.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # digamma and gamma_ratio_log are not called here, but bench/tracing.py
 # patches all three specfun names on this module through getattr.
@@ -39,20 +39,28 @@ _HALF_LN_2 = 0.5 * _LN_2
 _LN_GAMMA_QUARTER = ln_gamma(0.25)
 
 
-@dataclass(frozen=True)
-class MalmstenParams:
-    """Scale pair for integrals of ln(a x) sech(b x) over (0, inf).
-
-    Both scales must be positive finite reals; b is the decay rate of
-    the sech factor and a only shifts the logarithm.
-    """
-
+class _MalmstenFields(NamedTuple):
     a: float
     b: float
 
-    def __post_init__(self):
-        for name in ("a", "b"):
-            object.__setattr__(self, name, _checked_real(getattr(self, name), name, True))
+
+class MalmstenParams(_MalmstenFields):
+    """Scale pair for integrals of ln(a x) sech(b x) over (0, inf), a
+    named tuple (a, b).
+
+    Both scales must be positive finite reals; b is the decay rate of
+    the sech factor and a only shifts the logarithm.  _replace and _make
+    validate like the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float):
+        return tuple.__new__(cls, (_checked_real(a, "a", True), _checked_real(b, "b", True)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def delta_closed(a: float) -> float:

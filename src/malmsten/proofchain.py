@@ -43,8 +43,7 @@ check or fake engine, a benchmark's timing wrapper) changes what runs.
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .closedform import _LN_PI, MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
 from .quad import DEFAULT_TOLERANCE, ToleranceSpec, integrate_finite, integrate_semi_infinite
@@ -82,8 +81,7 @@ _TOL_FLOOR = 1e-14
 _QUAD_MARGIN = 1e-2  # a check's quadratures stop at this fraction of its tol
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one identity check.
 
     lhs is the side the check computes, a quadrature or a directly
@@ -107,15 +105,13 @@ class IdentityReport:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SkippedStep:
+class SkippedStep(NamedTuple):
     name: str
     params: dict
     reason: str
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     steps: tuple
     skipped: tuple
     overall_pass: bool
@@ -490,8 +486,8 @@ def check_b_reduction(tol: float = DEFAULT_TOL) -> IdentityReport:
         f"{r.name} abs_err={r.abs_err:.3e}" for r in subs)
     if any(r.note for r in subs):  # only a quadrature that did not converge has one
         note += "; quadrature did not converge"
-    return replace(worst, name="b_reduction", passed=all(r.passed for r in subs),
-                   evaluations=sum(r.evaluations for r in subs), note=note)
+    return worst._replace(name="b_reduction", passed=all(r.passed for r in subs),
+                          evaluations=sum(r.evaluations for r in subs), note=note)
 
 
 def check_c_quadrature(params: MalmstenParams,

@@ -123,8 +123,7 @@ warm.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .specfun import _checked_real
 
@@ -153,30 +152,38 @@ class QuadratureError(RuntimeError):
     """Raised when the integrand returns NaN at a quadrature node."""
 
 
-@dataclass(frozen=True)
-class ToleranceSpec:
-    """Requested accuracy for one quadrature call.
+class _ToleranceFields(NamedTuple):
+    rel_tol: float = 1e-12
+    abs_tol: float = 1e-15
+
+
+class ToleranceSpec(_ToleranceFields):
+    """Requested accuracy for one quadrature call, a named tuple
+    (rel_tol, abs_tol).
 
     rel_tol below 1e-14 is rejected: successive-level agreement that
     tight cannot be distinguished from double-precision roundoff.  Every
     call refines within 12 levels; the depth is not configurable.
+    _replace and _make validate like the constructor.
     """
 
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-15
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rel_tol", _checked_real(self.rel_tol, "rel_tol", True))
-        if self.rel_tol < _REL_TOL_FLOOR:
-            raise ValueError(f"rel_tol {self.rel_tol!r} is below the honesty floor {_REL_TOL_FLOOR}")
-        object.__setattr__(self, "abs_tol", _checked_real(self.abs_tol, "abs_tol", True))
+    def __new__(cls, rel_tol: float = 1e-12, abs_tol: float = 1e-15):
+        rel_tol = _checked_real(rel_tol, "rel_tol", True)
+        if rel_tol < _REL_TOL_FLOOR:
+            raise ValueError(f"rel_tol {rel_tol!r} is below the honesty floor {_REL_TOL_FLOOR}")
+        return tuple.__new__(cls, (rel_tol, _checked_real(abs_tol, "abs_tol", True)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 DEFAULT_TOLERANCE = ToleranceSpec()
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int

@@ -11,8 +11,9 @@ import math
 
 import pytest
 
-from malmsten.cli import main, parse_csv, parse_json, render_json
+from malmsten.cli import OutputRecord, main, parse_csv, parse_json, render_json
 from malmsten.closedform import MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
+from malmsten.proofchain import SkippedStep
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +209,28 @@ def test_verify_records_skips(capsys):
     assert len(res["skipped"]) >= 4
     for s in res["skipped"]:
         assert s["reason"]
+
+
+def test_verify_steps_and_skips_render_as_json_objects(capsys):
+    # The reports are named tuples; each must reach the JSON as an object
+    # keyed by its fields, never as a list of values.
+    code, out, _ = run_cli(capsys, "verify", "--grid", "0.0")
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["steps"] and res["skipped"]
+    for step in res["steps"]:
+        assert list(step) == ["name", "params", "lhs", "rhs", "abs_err", "rel_err", "tol",
+                              "pass", "evaluations", "note"]
+    for skipped in res["skipped"]:
+        assert list(skipped) == ["name", "params", "reason"]
+
+
+@pytest.mark.parametrize("value", [None, {1.0}, object(), SkippedStep("step", {}, "reason")],
+                         ids=["None", "set", "object", "record"])
+def test_unsupported_values_do_not_serialize(value):
+    # A record renders only through its _asdict(), not as the tuple it is.
+    with pytest.raises(TypeError, match=f"^cannot serialize {type(value).__name__}$"):
+        render_json(OutputRecord("eval", {}, {"value": value}, 0.0))
 
 
 @pytest.mark.parametrize("grid", ["1e-300", "1e-308", "5e-324"])

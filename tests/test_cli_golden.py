@@ -207,6 +207,17 @@ def test_cli_process_matches_golden(golden, argv):
     assert got == golden[tuple(argv)]
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Start-up cost: the records are named tuples, so importing the CLI
+    # pulls in neither dataclasses nor inspect (with its ast, dis and
+    # tokenize).  -S keeps site's .pth files from loading either.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import malmsten.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     GOLDEN.parent.mkdir(exist_ok=True)

@@ -173,9 +173,23 @@ def test_domain_rejection():
         MalmstenParams(1.0, "x")
     with pytest.raises(ValueError, match=r"^a must be a finite real, got None$"):
         delta_closed(None)
+    # _replace and _make validate like the constructor.
+    with pytest.raises(ValueError, match=r"^b must be a positive finite real, got -1.0$"):
+        MalmstenParams(1, 2)._replace(b=-1.0)
+    with pytest.raises(ValueError, match=r"^a must be a positive finite real, got 0.0$"):
+        MalmstenParams._make([0.0, 1.0])
 
 
 def test_params_coerce_to_float():
     p = MalmstenParams(2, 3)
     assert isinstance(p.a, float) and p.a == 2.0
     assert isinstance(p.b, float) and p.b == 3.0
+
+
+def test_params_are_a_named_tuple():
+    p = MalmstenParams(2, b=3)
+    assert MalmstenParams._fields == ("a", "b")
+    assert MalmstenParams._field_defaults == {}
+    assert p == (2.0, 3.0) and repr(p) == "MalmstenParams(a=2.0, b=3.0)"
+    q = p._replace(a=5)
+    assert type(q) is MalmstenParams and isinstance(q.a, float) and q._asdict() == {"a": 5.0, "b": 3.0}

@@ -6,7 +6,6 @@ small, the pass flag matches the recorded numbers, preconditions skip
 cleanly, and the intermediate routes all agree with each other.
 """
 
-import dataclasses
 import math
 import re
 import sys
@@ -309,7 +308,7 @@ def test_b_reduction_reports_the_failing_sub_identity(monkeypatch):
     def skewed(f, *args):
         res = real(f, *args)
         if f is sech:  # break the normalization int_0^inf sech = pi/2
-            res = dataclasses.replace(res, value=res.value + 1e-3)
+            res = res._replace(value=res.value + 1e-3)
             skewed_values.append(res.value)
         return res
 
@@ -332,7 +331,7 @@ def test_b_reduction_reports_non_convergence(monkeypatch):
         res = real(f, *args)
         evaluations.append(res.evaluations)
         if f is sech:  # the normalization's quadrature gives up
-            res = dataclasses.replace(res, converged=False)
+            res = res._replace(converged=False)
         return res
 
     monkeypatch.setattr(pc, "integrate_semi_infinite", stalled)

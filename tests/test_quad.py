@@ -5,7 +5,6 @@ structural contract: honest error estimates, linearity, interval additivity,
 determinism, endpoint avoidance, and the failure modes.
 """
 
-import dataclasses
 import math
 import re
 
@@ -199,9 +198,20 @@ def test_tolerance_spec_validation():
 def test_tolerance_spec_has_no_depth_field():
     # Every call refines within the engine's fixed 12 levels; a depth
     # asked for by name is an error, not ignored.
-    assert [field.name for field in dataclasses.fields(ToleranceSpec)] == ["rel_tol", "abs_tol"]
+    assert ToleranceSpec._fields == ("rel_tol", "abs_tol")
     with pytest.raises(TypeError):
         ToleranceSpec(max_level=4)
+
+
+def test_tolerance_spec_is_a_validating_named_tuple():
+    assert ToleranceSpec._field_defaults == {"rel_tol": 1e-12, "abs_tol": 1e-15}
+    assert ToleranceSpec() == DEFAULT_TOLERANCE == (1e-12, 1e-15)
+    assert ToleranceSpec(1e-9, 1e-15)._replace(abs_tol=1) == ToleranceSpec(1e-9, 1.0)
+    # _replace and _make go through the constructor's checks and messages.
+    with pytest.raises(ValueError, match=r"^rel_tol 1e-20 is below the honesty floor 1e-14$"):
+        ToleranceSpec()._replace(rel_tol=1e-20)
+    with pytest.raises(ValueError, match=r"^abs_tol must be a positive finite real, got 0.0$"):
+        ToleranceSpec._make([1e-9, 0.0])
 
 
 def test_bounds_validation():

@@ -29,7 +29,6 @@ that each transform fills only its own table cache, and the tables'
 safety when threads build a cold level at once.
 """
 
-import dataclasses
 import functools
 import importlib.util
 import math
@@ -225,7 +224,7 @@ def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE, trim=True, depth=_MAX_LEVE
 
 def _expected(ref: QuadratureResult) -> QuadratureResult:
     if ref.evaluations == 0:
-        return dataclasses.replace(ref, error_estimate=math.inf, converged=False)
+        return ref._replace(error_estimate=math.inf, converged=False)
     return ref
 
 
@@ -279,20 +278,17 @@ def _interval(rng):
             return lo, hi
 
 
-def test_finite_matches_reference():
-    # Each draw's depth is the engine's refinement cap for that draw.  A
-    # context, not the fixture, because
-    # test_interval_tables_stay_bounded_and_serve_the_chain calls this test.
+def test_finite_matches_reference(monkeypatch):
+    # Each draw's depth is the engine's refinement cap for that draw.
     rng = random.Random(20240601)
-    with pytest.MonkeyPatch.context() as cap:
-        for _ in range(200):
-            lo, hi = _interval(rng)
-            tol, depth = _tolerance(rng)
-            cap.setattr(quad, "_MAX_LEVEL", depth)
-            for f in _finite_integrands(lo, hi):
-                got = integrate_finite(f, lo, hi, tol)
-                ref = reference_finite(f, lo, hi, tol, depth=depth)
-                assert repr(got) == repr(_expected(ref)), (lo, hi, tol, depth)
+    for _ in range(200):
+        lo, hi = _interval(rng)
+        tol, depth = _tolerance(rng)
+        monkeypatch.setattr(quad, "_MAX_LEVEL", depth)
+        for f in _finite_integrands(lo, hi):
+            got = integrate_finite(f, lo, hi, tol)
+            ref = reference_finite(f, lo, hi, tol, depth=depth)
+            assert repr(got) == repr(_expected(ref)), (lo, hi, tol, depth)
 
 
 def test_semi_infinite_matches_reference(monkeypatch):
@@ -546,8 +542,12 @@ def test_tables_hold_levels_up_to_twelve(cold_tables):
 
 
 def test_interval_tables_stay_bounded_and_serve_the_chain(cold_tables):
-    test_finite_matches_reference()
-    assert quad._tanh_sinh_tables.cache_info().currsize <= 13
+    # Eight intervals, each converging after a few levels, ask for more
+    # (lo, hi, level) tables than the cache keeps.
+    for lo in range(8):
+        assert integrate_finite(math.exp, float(lo), lo + 1.0).converged
+    info = quad._tanh_sinh_tables.cache_info()
+    assert info.misses > 13 and info.currsize <= 13
     # Right and left node counts of the (0, 1) tables, levels 0 to 12.
     # The right side ends where 1 - d/2 rounds onto 1, the left at the
     # weight floor or where the halfspan-1 table ends.
