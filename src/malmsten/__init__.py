@@ -1,68 +1,15 @@
 """Malmsten-type logarithmic integrals: gamma-function closed forms,
 double-exponential quadrature, and machine checks of the identity chain
-connecting them."""
+connecting them.
 
-from .closedform import (
-    MalmstenParams,
-    delta_closed,
-    delta_derivative,
-    malmsten_c,
-    vardi_b_constant,
-)
-from .proofchain import (
-    ChainReport,
-    IdentityReport,
-    SkippedStep,
-    check_alt_series_digamma,
-    check_arctan_kernel,
-    check_b_reduction,
-    check_c_quadrature,
-    check_delta_quadrature,
-    check_p_integral,
-    check_sech_cosine_transform,
-    check_t_domain,
-    check_z_domain,
-    run_full_chain,
-)
-from .quad import (
-    DEFAULT_TOLERANCE,
-    QuadratureError,
-    QuadratureResult,
-    ToleranceSpec,
-    integrate_finite,
-    integrate_semi_infinite,
-)
-from .specfun import digamma, gamma_ratio_log, ln_gamma, sech
+Every name in a library module's ``__all__`` is exported here; the
+command line, ``malmsten.cli``, is imported on its own."""
+
+from .closedform import *
+from .proofchain import *
+from .quad import *
+from .specfun import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MalmstenParams",
-    "delta_closed",
-    "delta_derivative",
-    "malmsten_c",
-    "vardi_b_constant",
-    "ChainReport",
-    "IdentityReport",
-    "SkippedStep",
-    "check_alt_series_digamma",
-    "check_arctan_kernel",
-    "check_b_reduction",
-    "check_c_quadrature",
-    "check_delta_quadrature",
-    "check_p_integral",
-    "check_sech_cosine_transform",
-    "check_t_domain",
-    "check_z_domain",
-    "run_full_chain",
-    "DEFAULT_TOLERANCE",
-    "QuadratureError",
-    "QuadratureResult",
-    "ToleranceSpec",
-    "integrate_finite",
-    "integrate_semi_infinite",
-    "digamma",
-    "gamma_ratio_log",
-    "ln_gamma",
-    "sech",
-]
+__all__ = closedform.__all__ + proofchain.__all__ + quad.__all__ + specfun.__all__

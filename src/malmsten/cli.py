@@ -208,8 +208,9 @@ def _step_dict(step) -> dict:
 
 def _cmd_verify(args):
     grid = _parse_grid(args.grid)
-    report = _as_usage(run_full_chain, grid, _checked_param(args.tol, "tol"))
-    return {"grid": grid, "tol": float(args.tol)}, {
+    tol = _checked_param(args.tol, "tol")
+    report = _as_usage(run_full_chain, grid, tol)
+    return {"grid": grid, "tol": tol}, {
         "steps": [_step_dict(s) for s in report.steps],
         "skipped": [s._asdict() for s in report.skipped],
         "overall_pass": report.overall_pass,

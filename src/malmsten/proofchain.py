@@ -25,7 +25,7 @@ other side is computed independently, so a quadrature error hides a
 discrepancy only by happening to cancel it, and while its level
 difference is honest it moves the residual by at most about that
 hundredth of tol.  A quadrature that does not converge at the looser
-tolerance fails its step, as before.
+tolerance fails its step.
 
 Three checks integrate in y = s x, where the integrand decays like
 e^{-y} as the semi-infinite transform expects: delta_quadrature
@@ -374,8 +374,8 @@ def check_z_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     node, and z = 1 for large a, where the first levels miss it and
     agree by accident; in u it spreads over (0, 1).  So this step
     differs from t_domain only in its transform (tanh-sinh on (0, 1)
-    instead of the semi-infinite one) and its scale, and no longer
-    evaluates the literal z = e^{-t} form.
+    instead of the semi-infinite one) and its scale, and does not
+    evaluate the literal z = e^{-t} form.
 
     Requires a > SMALL_A_CUTOFF.
     """

@@ -207,15 +207,28 @@ def test_cli_process_matches_golden(golden, argv):
     assert got == golden[tuple(argv)]
 
 
+def _loaded_after_import(module, names):
+    """Which of `names` are in sys.modules after a fresh `python -I -S`
+    imports `module` from src/ alone (-S keeps site's .pth files out)."""
+    code = (f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
+            f"print(sorted({set(names)!r} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # Start-up cost: the records are named tuples, so importing the CLI
     # pulls in neither dataclasses nor inspect (with its ast, dis and
-    # tokenize).  -S keeps site's .pth files from loading either.
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import malmsten.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout == "[]\n"
+    # tokenize).
+    assert _loaded_after_import("malmsten.cli", ("dataclasses", "inspect")) == "[]\n"
+
+
+def test_package_import_leaves_the_cli_out():
+    # `import malmsten` pays for the library only: the CLI and the
+    # argparse, json and csv it needs load when malmsten.cli is imported.
+    names = ("malmsten.cli", "argparse", "json", "csv")
+    assert _loaded_after_import("malmsten", names) == "[]\n"
 
 
 if __name__ == "__main__":
