@@ -7,8 +7,12 @@ uniform grid).
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 quadrature non-convergence.
-Each handler only checks its arguments and computes; main is the one
-place that times it, writes the record and chooses the exit code.
+Each subcommand is declared once, on its subparser: its options, its
+handler and its default format.  A handler checks its arguments,
+computes and gives its verdict: None, or the exit code and message of
+a command that failed but still writes its record.  main times the
+handler, writes the record and reports the verdict, or the usage or
+quadrature error the handler raised.
 Outputs are deterministic apart from the timing_ms field: JSON objects
 keep a fixed key order and every float is serialized with 17
 significant digits, which round-trips losslessly through a parser.
@@ -102,23 +106,21 @@ def _csv_cell(v) -> str:
     return "" if v is None else _json_value(v)
 
 
-_CSV_COLUMNS = {
-    "eval": ("which", "a", "b", "value"),
-    "quad": ("which", "a", "b", "value", "error_estimate", "evaluations", "converged"),
-    "verify": ("name", "params", "lhs", "rhs", "abs_err", "rel_err", "tol",
-               "pass", "evaluations", "note"),
-    "table": ("a", "delta_closed", "delta_quadrature", "abs_err", "converged"),
+# Each command's CSV columns, and the results key that holds its rows;
+# None makes one row of the parameters and results together.
+_CSV = {
+    "eval": (("which", "a", "b", "value"), None),
+    "quad": (("which", "a", "b", "value", "error_estimate", "evaluations", "converged"),
+             None),
+    "verify": (("name", "params", "lhs", "rhs", "abs_err", "rel_err", "tol",
+                "pass", "evaluations", "note"), "steps"),
+    "table": (("a", "delta_closed", "delta_quadrature", "abs_err", "converged"), "rows"),
 }
 
 
 def render_csv(record: OutputRecord) -> str:
-    header = _CSV_COLUMNS[record.command]
-    if record.command in ("eval", "quad"):
-        rows = [dict(record.parameters, **record.results)]
-    elif record.command == "verify":
-        rows = record.results["steps"]
-    else:
-        rows = record.results["rows"]
+    header, key = _CSV[record.command]
+    rows = record.results[key] if key else [dict(record.parameters, **record.results)]
     buf = io.StringIO()
     writer = csv.writer(buf)  # csv defaults to RFC 4180 quoting and CRLF
     writer.writerow(header)
@@ -131,13 +133,13 @@ def parse_csv(text: str):
     """Rows of a rendered CSV table as a list of column-name -> string
     dicts; numeric cells recover their exact float via float()."""
     reader = csv.reader(io.StringIO(text))
-    it = iter(reader)
-    header = next(it)
-    return [dict(zip(header, row)) for row in it]
+    header = next(reader)
+    return [dict(zip(header, row)) for row in reader]
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Subcommand handlers: each returns the parameters, the results and its
+# verdict (None, or the exit code and message of a failed command).
 
 def _as_usage(fn, *args):
     """fn(*args), with a ValueError from checking user input re-raised as
@@ -181,7 +183,7 @@ def _integral(args):
 
 def _cmd_eval(args):
     params, closed, _ = _integral(args)
-    return params, {"value": closed()}
+    return params, {"value": closed()}, None
 
 
 def _cmd_quad(args):
@@ -191,7 +193,8 @@ def _cmd_quad(args):
     res = integrate_semi_infinite(integrand(), tol)
     if not math.isfinite(res.value):
         raise QuadratureError(f"quadrature diverged (value {res.value!r})")
-    return params, res._asdict()
+    return params, res._asdict(), (
+        None if res.converged else (3, "quadrature did not converge within the level budget"))
 
 
 def _parse_grid(text: str):
@@ -215,7 +218,7 @@ def _cmd_verify(args):
         "skipped": [s._asdict() for s in report.skipped],
         "overall_pass": report.overall_pass,
         "total_evaluations": report.total_evaluations,
-    }
+    }, None if report.overall_pass else (1, "identity chain verification failed")
 
 
 def _cmd_table(args):
@@ -241,7 +244,7 @@ def _cmd_table(args):
             "abs_err": abs(res.value - closed),
             "converged": res.converged,
         })
-    return {"a_min": a_min, "a_max": a_max, "steps": steps}, {"rows": rows}
+    return {"a_min": a_min, "a_max": a_max, "steps": steps}, {"rows": rows}, None
 
 
 # ---------------------------------------------------------------------------
@@ -263,43 +266,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="closed-form values")
     add_which(pe)
-    pe.add_argument("--format", choices=("json", "csv"), default="json")
 
     pq = sub.add_parser("quad", help="the same integrals by quadrature")
     add_which(pq)
     pq.add_argument("--rel-tol", type=float, default=DEFAULT_TOLERANCE.rel_tol, dest="rel_tol")
-    pq.add_argument("--format", choices=("json", "csv"), default="json")
 
     pv = sub.add_parser("verify", help="run the identity chain over a grid")
     pv.add_argument("--grid", required=True,
                     help="comma-separated a values, e.g. 0.25,0.5,1")
     pv.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    pv.add_argument("--format", choices=("json", "csv"), default="json")
 
     pt = sub.add_parser("table", help="closed form vs quadrature on a grid")
     pt.add_argument("--a-min", type=float, required=True, dest="a_min")
     pt.add_argument("--a-max", type=float, required=True, dest="a_max")
     pt.add_argument("--steps", type=int, required=True)
-    pt.add_argument("--format", choices=("json", "csv"), default="csv")
 
+    for p, handler, default_format in ((pe, _cmd_eval, "json"), (pq, _cmd_quad, "json"),
+                                       (pv, _cmd_verify, "json"), (pt, _cmd_table, "csv")):
+        p.add_argument("--format", choices=("json", "csv"), default=default_format)
+        p.set_defaults(handler=handler)
     return parser
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "quad": _cmd_quad,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
-}
-
 _PARSER = _build_parser()
-
-# Outcomes whose record is still written but whose command failed: the
-# result field that must be true, the exit code and the message.
-_FAILURES = {
-    "quad": ("converged", 3, "quadrature did not converge within the level budget"),
-    "verify": ("overall_pass", 1, "identity chain verification failed"),
-}
 
 
 def main(argv=None) -> int:
@@ -311,7 +300,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code in (0, 2) else 2
     try:
         start = time.perf_counter()
-        params, results = _HANDLERS[args.command](args)
+        params, results, failure = args.handler(args)
         record = OutputRecord(args.command, params, results,
                               (time.perf_counter() - start) * 1000.0)
         sys.stdout.write(render_csv(record) if args.format == "csv"
@@ -325,10 +314,10 @@ def main(argv=None) -> int:
     except Exception as exc:  # backstop: diagnostics over tracebacks, always
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    failure = _FAILURES.get(args.command)
-    if failure and not results[failure[0]]:
-        print(f"error: {failure[2]}", file=sys.stderr)
-        return failure[1]
+    if failure:
+        code, message = failure
+        print(f"error: {message}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -97,9 +97,10 @@ def test_quad_usage_errors(capsys):
         assert err != ""
 
 
-@pytest.mark.parametrize("value, converged", [(0.5, False), (math.inf, True)],
-                         ids=["not_converged", "diverged"])
-def test_quad_non_convergence_exits_3(capsys, monkeypatch, value, converged):
+@pytest.mark.parametrize("value, converged, fmt",
+                         [(0.5, False, "json"), (0.5, False, "csv"), (math.inf, True, "json")],
+                         ids=["not_converged", "not_converged-csv", "diverged"])
+def test_quad_non_convergence_exits_3(capsys, monkeypatch, value, converged, fmt):
     import malmsten.cli as cli_mod
     from malmsten.quad import QuadratureResult
 
@@ -108,12 +109,17 @@ def test_quad_non_convergence_exits_3(capsys, monkeypatch, value, converged):
                                 converged=converged)
 
     monkeypatch.setattr(cli_mod, "integrate_semi_infinite", stub)
-    code, out, err = run_cli(capsys, "quad", "--which", "b")
+    code, out, err = run_cli(capsys, "quad", "--which", "b", "--format", fmt)
     assert code == 3
     if math.isfinite(value):
         # The record is still printed so the caller can see how far it got.
-        doc = json.loads(out)
-        assert doc["results"]["converged"] is False
+        if fmt == "json":
+            assert json.loads(out)["results"]["converged"] is False
+        else:
+            assert parse_csv(out) == [{
+                "which": "b", "a": "", "b": "", "value": "0.5",
+                "error_estimate": "0.10000000000000001", "evaluations": "99",
+                "converged": "false"}]
         assert err == "error: quadrature did not converge within the level budget\n"
     else:
         assert out == ""
@@ -174,15 +180,22 @@ def test_verify_ok(capsys):
         assert step["abs_err"] == abs(step["lhs"] - step["rhs"])
 
 
-def test_verify_failure_exits_1(capsys):
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_failure_exits_1(capsys, fmt):
     # At a = 1e-300 the p_integral quadrature does not converge, so that
-    # step fails and so must the chain.
-    code, out, err = run_cli(capsys, "verify", "--grid", "1e-300")
+    # step fails and so must the chain; the record is still printed.
+    code, out, err = run_cli(capsys, "verify", "--grid", "1e-300", "--format", fmt)
     assert code == 1
-    doc = json.loads(out)
-    assert doc["results"]["overall_pass"] is False
-    assert any(not s["pass"] for s in doc["results"]["steps"])
-    assert err != ""
+    if fmt == "json":
+        results = json.loads(out)["results"]
+        assert results["overall_pass"] is False
+        failed = [s["name"] for s in results["steps"] if s["pass"] is False]
+    else:
+        rows = parse_csv(out)
+        assert rows and {r["pass"] for r in rows} == {"true", "false"}
+        failed = [r["name"] for r in rows if r["pass"] == "false"]
+    assert "p_integral" in failed
+    assert err == "error: identity chain verification failed\n"
 
 
 def test_verify_usage_errors(capsys):

@@ -207,6 +207,21 @@ def test_cli_process_matches_golden(golden, argv):
     assert got == golden[tuple(argv)]
 
 
+def test_module_run_matches_in_process_main():
+    # `python -m malmsten.cli` runs the module as __main__, with the parser
+    # it builds at import and the handlers bound to it.  -I drops
+    # PYTHONPATH, so src/ goes on sys.path first and runpy runs the module
+    # the way -m does.
+    argv = ["eval", "--which", "b"]
+    code = ("import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+            "runpy.run_module('malmsten.cli', run_name='__main__', alter_sys=True)")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(SRC), *argv],
+                          capture_output=True, timeout=60, check=False)
+    got = _record(argv, proc.returncode, proc.stdout.decode("utf-8"),
+                  proc.stderr.decode("utf-8"))
+    assert got == run_case(argv)
+
+
 def _loaded_after_import(module, names):
     """Which of `names` are in sys.modules after a fresh `python -I -S`
     imports `module` from src/ alone (-S keeps site's .pth files out)."""
