@@ -11,8 +11,11 @@ Each subcommand is declared once, on its subparser: its options, its
 handler and its default format.  A handler checks its arguments,
 computes and gives its verdict: None, or the exit code and message of
 a command that failed but still writes its record.  main times the
-handler, writes the record and reports the verdict, or the usage or
-quadrature error the handler raised.
+handler, writes the record and reports the verdict, or the error that
+was raised: a ValueError (bad input, or a value outside the double
+range) as a usage error and a QuadratureError as non-convergence, each
+on an "error:" line.  Any other exception is a bug: main prints
+"internal error:" and its message, without a traceback, and exits 2.
 Outputs are deterministic apart from the timing_ms field: JSON objects
 keep a fixed key order and every float is serialized with 17
 significant digits, which round-trips losslessly through a parser.
@@ -22,17 +25,18 @@ JSON-only affair).
 
 The argument parser is built once, at import, and holds no per-call
 state: argparse keeps each parse in locals and reads sys.stdout,
-sys.stderr and the terminal width only when it prints.
+sys.stderr and the terminal width only when it prints.  csv is imported
+only by the two functions that read or write CSV, so a JSON command
+never loads it.
 """
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
 import time
-from typing import NamedTuple
+from collections import namedtuple
 
 from .closedform import MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
 from .proofchain import (
@@ -48,18 +52,11 @@ from .specfun import _checked_real
 __all__ = ["OutputRecord", "render_json", "render_csv", "parse_json", "parse_csv", "main"]
 
 
-class OutputRecord(NamedTuple):
+class OutputRecord(namedtuple("OutputRecord", "command parameters results timing_ms")):
     """One command's worth of output: what ran, with which parameters,
     what came out, and how long it took (milliseconds)."""
 
-    command: str
-    parameters: dict
-    results: object
-    timing_ms: float
-
-
-class _UsageError(ValueError):
-    pass
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +116,8 @@ _CSV = {
 
 
 def render_csv(record: OutputRecord) -> str:
+    import csv
+
     header, key = _CSV[record.command]
     rows = record.results[key] if key else [dict(record.parameters, **record.results)]
     buf = io.StringIO()
@@ -132,6 +131,8 @@ def render_csv(record: OutputRecord) -> str:
 def parse_csv(text: str):
     """Rows of a rendered CSV table as a list of column-name -> string
     dicts; numeric cells recover their exact float via float()."""
+    import csv
+
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     return [dict(zip(header, row)) for row in reader]
@@ -141,17 +142,8 @@ def parse_csv(text: str):
 # Subcommand handlers: each returns the parameters, the results and its
 # verdict (None, or the exit code and message of a failed command).
 
-def _as_usage(fn, *args):
-    """fn(*args), with a ValueError from checking user input re-raised as
-    a usage error."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
 def _checked_param(value, name: str) -> float:
-    return _as_usage(_checked_real, value, "--" + name)
+    return _checked_real(value, "--" + name)
 
 
 def _integral(args):
@@ -164,21 +156,21 @@ def _integral(args):
     params = {"which": which}
     if which == "a":
         if args.a is None:
-            raise _UsageError("--which a requires --a")
+            raise ValueError("--which a requires --a")
         if args.b is not None:
-            raise _UsageError("--which a does not take --b")
+            raise ValueError("--which a does not take --b")
         a = params["a"] = _checked_param(args.a, "a")
         return params, lambda: delta_closed(a), lambda: delta_integrand(a)
     if which == "b":
         if args.a is not None or args.b is not None:
-            raise _UsageError("--which b takes neither --a nor --b")
+            raise ValueError("--which b takes neither --a nor --b")
         return params, vardi_b_constant, vardi_b_integrand
     if args.a is None or args.b is None:
-        raise _UsageError("--which c requires both --a and --b")
+        raise ValueError("--which c requires both --a and --b")
     a = params["a"] = _checked_param(args.a, "a")
     b = params["b"] = _checked_param(args.b, "b")
-    return (params, lambda: malmsten_c(_as_usage(MalmstenParams, a, b)),
-            lambda: malmsten_c_integrand(_as_usage(MalmstenParams, a, b)))
+    return (params, lambda: malmsten_c(MalmstenParams(a, b)),
+            lambda: malmsten_c_integrand(MalmstenParams(a, b)))
 
 
 def _cmd_eval(args):
@@ -188,7 +180,7 @@ def _cmd_eval(args):
 
 def _cmd_quad(args):
     params, _, integrand = _integral(args)
-    tol = _as_usage(ToleranceSpec, _checked_param(args.rel_tol, "rel-tol"))
+    tol = ToleranceSpec(_checked_param(args.rel_tol, "rel-tol"))
     params["rel_tol"] = tol.rel_tol
     res = integrate_semi_infinite(integrand(), tol)
     if not math.isfinite(res.value):
@@ -200,7 +192,7 @@ def _cmd_quad(args):
 def _parse_grid(text: str):
     entries = [s.strip() for s in text.split(",")]
     if any(not s for s in entries):
-        raise _UsageError(f"--grid must be a comma-separated list of reals, got {text!r}")
+        raise ValueError(f"--grid must be a comma-separated list of reals, got {text!r}")
     return [_checked_param(s, "grid") for s in entries]
 
 
@@ -212,7 +204,7 @@ def _step_dict(step) -> dict:
 def _cmd_verify(args):
     grid = _parse_grid(args.grid)
     tol = _checked_param(args.tol, "tol")
-    report = _as_usage(run_full_chain, grid, tol)
+    report = run_full_chain(grid, tol)
     return {"grid": grid, "tol": tol}, {
         "steps": [_step_dict(s) for s in report.steps],
         "skipped": [s._asdict() for s in report.skipped],
@@ -226,12 +218,12 @@ def _cmd_table(args):
     a_max = _checked_param(args.a_max, "a-max")
     steps = args.steps
     if steps < 2:
-        raise _UsageError(f"--steps must be at least 2, got {steps}")
+        raise ValueError(f"--steps must be at least 2, got {steps}")
     if not a_min < a_max:
-        raise _UsageError(f"--a-min must be strictly below --a-max, got {a_min} and {a_max}")
+        raise ValueError(f"--a-min must be strictly below --a-max, got {a_min} and {a_max}")
     span = a_max - a_min
     if not math.isfinite(span):
-        raise _UsageError(f"the span from --a-min to --a-max overflows, got {a_min} and {a_max}")
+        raise ValueError(f"the span from --a-min to --a-max overflows, got {a_min} and {a_max}")
     rows = []
     for i in range(steps):
         a = a_min + span * (i / (steps - 1))
@@ -305,14 +297,14 @@ def main(argv=None) -> int:
                               (time.perf_counter() - start) * 1000.0)
         sys.stdout.write(render_csv(record) if args.format == "csv"
                          else render_json(record) + "\n")
-    except _UsageError as exc:
+    except ValueError as exc:  # bad input, or a value outside the double range
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # backstop: diagnostics over tracebacks, always
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # backstop: a bug, reported without a traceback
+        print(f"internal error: {exc}", file=sys.stderr)
         return 2
     if failure:
         code, message = failure

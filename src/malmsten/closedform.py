@@ -18,7 +18,7 @@ the absolute error only.
 """
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 # digamma and gamma_ratio_log are not called here, but bench/tracing.py
 # patches all three specfun names on this module through getattr.
@@ -39,9 +39,7 @@ _HALF_LN_2 = 0.5 * _LN_2
 _LN_GAMMA_QUARTER = ln_gamma(0.25)
 
 
-class _MalmstenFields(NamedTuple):
-    a: float
-    b: float
+_MalmstenFields = namedtuple("_MalmstenFields", "a b")
 
 
 class MalmstenParams(_MalmstenFields):

@@ -43,7 +43,8 @@ check or fake engine, a benchmark's timing wrapper) changes what runs.
 import functools
 import math
 import sys
-from typing import Callable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .closedform import _LN_PI, MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
 from .quad import DEFAULT_TOLERANCE, ToleranceSpec, integrate_finite, integrate_semi_infinite
@@ -81,7 +82,9 @@ _TOL_FLOOR = 1e-14
 _QUAD_MARGIN = 1e-2  # a check's quadratures stop at this fraction of its tol
 
 
-class IdentityReport(NamedTuple):
+class IdentityReport(namedtuple("IdentityReport",
+                                "name params lhs rhs abs_err rel_err tol passed evaluations note",
+                                defaults=(0, ""))):
     """Outcome of one identity check.
 
     lhs is the side the check computes, a quadrature or a directly
@@ -91,31 +94,36 @@ class IdentityReport(NamedTuple):
     abs_err <= tol or rel_err <= tol, and additionally that every
     quadrature involved converged; a non-converged check is never
     reported as passing, whatever the residual happens to be.
+    evaluations counts the integrand calls of its quadratures, or the
+    series terms it summed.  note is empty unless a quadrature did not
+    converge; b_reduction's always lists its sub-identities' residuals.
     """
 
-    name: str
-    params: dict
-    lhs: float
-    rhs: float
-    abs_err: float
-    rel_err: float
-    tol: float
-    passed: bool
-    evaluations: int = 0
-    note: str = ""
+    __slots__ = ()
 
 
-class SkippedStep(NamedTuple):
-    name: str
-    params: dict
-    reason: str
+class SkippedStep(namedtuple("SkippedStep", "name params reason")):
+    """A check that run_full_chain did not run at one grid point.
+
+    name is the step's name as in IdentityReport, params the argument it
+    would have run at (a, t or mu; for c_quadrature the grid value a),
+    and reason the message of the ValueError that ruled it out.
+    """
+
+    __slots__ = ()
 
 
-class ChainReport(NamedTuple):
-    steps: tuple
-    skipped: tuple
-    overall_pass: bool
-    total_evaluations: int
+class ChainReport(namedtuple("ChainReport", "steps skipped overall_pass total_evaluations")):
+    """Outcome of run_full_chain.
+
+    steps holds an IdentityReport per check run, and skipped a
+    SkippedStep per check not run, both in run order.  overall_pass is
+    True when every step passed.  total_evaluations is the sum of the
+    steps' evaluations: integrand calls of the quadrature steps and
+    series terms of alt_series_digamma.
+    """
+
+    __slots__ = ()
 
 
 def _build_report(name: str, params: dict, lhs: float, rhs: float, tol: float,

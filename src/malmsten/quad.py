@@ -123,7 +123,8 @@ warm.
 import functools
 import itertools
 import math
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable
 
 from .specfun import _checked_real
 
@@ -152,9 +153,7 @@ class QuadratureError(RuntimeError):
     """Raised when the integrand returns NaN at a quadrature node."""
 
 
-class _ToleranceFields(NamedTuple):
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-15
+_ToleranceFields = namedtuple("_ToleranceFields", "rel_tol abs_tol", defaults=(1e-12, 1e-15))
 
 
 class ToleranceSpec(_ToleranceFields):
@@ -183,11 +182,24 @@ class ToleranceSpec(_ToleranceFields):
 DEFAULT_TOLERANCE = ToleranceSpec()
 
 
-class QuadratureResult(NamedTuple):
-    value: float
-    error_estimate: float
-    evaluations: int
-    converged: bool
+class QuadratureResult(namedtuple("QuadratureResult",
+                                  "value error_estimate evaluations converged")):
+    """What one quadrature call returned, a named tuple (value,
+    error_estimate, evaluations, converged).
+
+    value is the last level's sum, and evaluations counts the calls to
+    f.  converged is True when two successive levels agreed within the
+    tolerance asked for.  error_estimate is then the largest of their
+    difference, the roundoff floor of the sum and the mass beyond its
+    outermost nodes (the module docstring gives each), so it may exceed
+    that tolerance.  That the integral lies within error_estimate of
+    value is promised only for the package's own integrands, and only
+    where |integral| exceeds abs_tol.  A result that did not converge
+    reports the last difference between levels as error_estimate, or
+    inf when f was called at no node or that difference is not finite.
+    """
+
+    __slots__ = ()
 
 
 def _nan_error(x) -> QuadratureError:

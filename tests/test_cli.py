@@ -159,6 +159,20 @@ def test_unrenderable_value_writes_nothing(capsys, fmt):
     assert (code, out, err) == (2, "", "error: non-finite value inf cannot be serialized\n")
 
 
+def test_programming_error_is_an_internal_error(capsys, monkeypatch):
+    # A bug is not the user's mistake: anything but a ValueError (bad
+    # input) or a QuadratureError is labelled as internal, still without
+    # a traceback and with exit code 2.
+    import malmsten.cli as cli_mod
+
+    def broken(a):
+        raise TypeError("broken closed form")
+
+    monkeypatch.setattr(cli_mod, "delta_closed", broken)
+    code, out, err = run_cli(capsys, "eval", "--which", "a", "--a", "1")
+    assert (code, out, err) == (2, "", "internal error: broken closed form\n")
+
+
 def test_eval_c_below_pi_over_dbl_max(capsys):
     # pi/b overflows here, but the integral does not.
     code, out, err = run_cli(capsys, "eval", "--which", "c", "--a", "1e-308", "--b", "1e-308")

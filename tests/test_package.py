@@ -6,7 +6,7 @@ public name is declared.
 """
 
 import malmsten
-from malmsten import closedform, proofchain, quad, specfun
+from malmsten import cli, closedform, proofchain, quad, specfun
 
 LIBRARY = (closedform, proofchain, quad, specfun)
 
@@ -24,6 +24,13 @@ PUBLIC = {
     "ToleranceSpec", "integrate_finite", "integrate_semi_infinite",
     "digamma", "gamma_ratio_log", "ln_gamma", "sech",
 }
+
+# The records: every public tuple class, the CLI's included.
+RECORDS = (
+    closedform.MalmstenParams, quad.ToleranceSpec, quad.QuadratureResult,
+    proofchain.IdentityReport, proofchain.SkippedStep, proofchain.ChainReport,
+    cli.OutputRecord,
+)
 
 
 def test_all_is_the_library_modules_all_in_order():
@@ -43,3 +50,14 @@ def test_star_import_binds_exactly_all():
     exec("from malmsten import *", ns)
     del ns["__builtins__"]
     assert ns.keys() == set(malmsten.__all__)
+
+
+def test_records_are_slotted_and_documented():
+    public = [getattr(mod, name) for mod in (*LIBRARY, cli) for name in mod.__all__]
+    assert {v for v in public if isinstance(v, type) and issubclass(v, tuple)} == set(RECORDS)
+    for record in RECORDS:
+        name = record.__name__
+        fields = [1.0] * len(record._fields)
+        assert not hasattr(record(*fields), "__dict__"), name
+        # Its own docstring, not the generated "Name(field, ...)".
+        assert record.__doc__ and not record.__doc__.startswith(f"{name}("), name
