@@ -48,8 +48,10 @@ from collections.abc import Callable, Sequence
 
 from .closedform import _LN_PI, MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
 from .quad import DEFAULT_TOLERANCE, ToleranceSpec, integrate_finite, integrate_semi_infinite
-# gamma_ratio_log is not called here; bench/tracing.py patches it on this module.
-from .specfun import _checked_real, _digamma_quartet, digamma, gamma_ratio_log, sech
+# digamma and gamma_ratio_log are not called here; bench/tracing.py patches
+# them on this module.
+from .specfun import (_checked_real, _digamma_diff, _digamma_quartet, digamma, gamma_ratio_log,
+                      sech)
 
 __all__ = [
     "DEFAULT_TOL",
@@ -73,12 +75,16 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
-# t_domain and z_domain reject |a| at or below this.  Measured at the
-# default tolerance, t_domain still converges honestly at a = 1e-9 and
-# z_domain at a = 1e-6 (it fails at 1e-9); the cutoff keeps a wide margin.
+# t_domain and z_domain reject |a| at or below this.  Measured at
+# quad.DEFAULT_TOLERANCE, t_domain still converges honestly at a = 1e-12
+# and z_domain at a = 1e-6; z_domain fails from 1e-9 (29,382 calls).  At
+# DEFAULT_TOL's quadrature tolerance z_domain converges at 1e-9 (921
+# calls, 8.9e-11 relative off) and fails from 1e-12.  The cutoff keeps a
+# wide margin.
 SMALL_A_CUTOFF = 1e-3
 
 _TOL_FLOOR = 1e-14
+_CVZ_RATE = 3.0 + math.sqrt(8.0)  # alt_series_digamma's error falls by this per term
 _QUAD_MARGIN = 1e-2  # a check's quadratures stop at this fraction of its tol
 
 
@@ -394,60 +400,53 @@ def check_z_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
                              _delta_excess(a), tol, (0.0, 1.0))
 
 
-def _alternating_pair_sum(mu: float, tol: float):
-    """Sum of (-1)^k / (k + mu) over k >= 0.
-
-    Consecutive terms are paired into 1/((2j+mu)(2j+mu+1)), so the
-    partial sums increase monotonically toward the limit.  The positive
-    remainder after J pairs equals T(c) = sum_m (-1)^m/(m+c) at
-    c = 2J + mu = int_0^1 u^{c-1}/(1+u) du; repeated integration by
-    parts of that integral gives
-
-        T(c) = 1/(2c) + 1/(4c(c+1)) + 1/(4c(c+1)(c+2))
-               + 3/(8c(c+1)(c+2)(c+3)) + R,
-        R in (0.75, 24) / (c(c+1)(c+2)(c+3)(c+4)),
-
-    so completing the sum with those four terms plus the midpoint of the
-    bracket for R carries a rigorous error below 12/c^5.  Pairs are
-    added until that bound drops under tol/10.  A check's tol >= 1e-14
-    puts that target at >= 1e-15, which c >= 1,642 meets, so for every
-    mu > 0 the sum stops within 1,642 terms.
-
-    Returns (value, terms_consumed).
-    """
-    target = 0.1 * tol
-    total = 0.0
-    j = 0
-    while True:
-        c = 2.0 * j + mu
-        d5 = c * (c + 1.0) * (c + 2.0) * (c + 3.0) * (c + 4.0)
-        if 12.0 / d5 <= target:
-            tail = (0.5 / c
-                    + 0.25 / (c * (c + 1.0))
-                    + 0.25 / (c * (c + 1.0) * (c + 2.0))
-                    + 0.375 / (c * (c + 1.0) * (c + 2.0) * (c + 3.0))
-                    + 12.375 / d5)
-            return total + tail, 2 * j
-        total += 1.0 / (c * (c + 1.0))
-        j += 1
-
-
 def check_alt_series_digamma(mu: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     """sum_{k>=0} (-1)^k/(k+mu) against (1/2)(digamma((mu+1)/2) -
     digamma(mu/2)).
 
-    The series side is summed directly by consecutive-term pairing with
-    a tail completion whose error bound falls below tol/10 within 1,642
-    terms.  Requires mu at least the smallest normal float, below which
-    1/(mu/2) in digamma(mu/2) overflows.
+    The series side is Algorithm 1 of Cohen, Rodriguez Villegas and
+    Zagier (Experiment. Math. 9 (2000) 3-12): a weighted sum of the
+    first n terms.  1/(k+mu) = int_0^1 x^(k+mu-1) dx is a moment
+    sequence of a positive weight, so the sum is within 2/(3+sqrt 8)^n
+    relative, and n = max(1, ceil(ln(20/tol) / ln(3+sqrt 8))) puts
+    that under tol/10 at every mu: 7, 13, 15, 18 and 20 terms at tol
+    1e-4, 1e-8, 1e-10, 1e-12 and 1e-14.  The algorithm divides its sum
+    by d = ((3+sqrt 8)^n + (3+sqrt 8)^-n)/2 at the end; here the weights
+    carry 1/d from the start, so none exceeds 1.  Each term is summed as
+    its weight times mu/(k+mu), and the total divided by mu once, so
+    nothing overflows at mu = DBL_MIN, and at large mu, where the terms
+    nearly cancel and mu/(k+mu) rounds to 1, they carry no rounding of
+    their own.  Against mpmath, on log-spaced mu from DBL_MIN to
+    1.7e308, the rounding stays within 8 eps of the truncated sum; each
+    weight divided by k + mu would reach 20 eps.
+
+    The closed side is written as 1/mu - (1/2) R'(mu/2 + 1/4), with
+    R'(s) = digamma(s + 3/4) - digamma(s + 1/4) the kernel behind
+    delta_derivative: one step of digamma(x+1) = digamma(x) + 1/x
+    turns digamma(mu/2) into digamma(mu/2 + 1) - 2/mu.  R' is one
+    expansion, never a difference of digamma values, and its argument is
+    at least 1/4.  Its half is at most half of 1/mu, since the sum is at
+    least 1/(2 mu), so the subtraction at most triples the relative
+    error of its operands.
+
+    Requires mu at least the smallest normal float, a margin above
+    1/DBL_MAX = 5.6e-309, below which the closed side's 1/mu overflows.
     """
     mu = _checked_real(mu, "mu")
     if mu < sys.float_info.min:
         raise ValueError(f"mu must be a positive normal float, got {mu!r}")
     tol = _checked_real(tol, "tol", floor=_TOL_FLOOR)
-    lhs, terms = _alternating_pair_sum(mu, tol)
-    rhs = 0.5 * (digamma(0.5 * (mu + 1.0)) - digamma(0.5 * mu))
-    return _build_report("alt_series_digamma", {"mu": mu}, lhs, rhs, tol, terms)
+    n = max(1, math.ceil(math.log(20.0 / tol, _CVZ_RATE)))
+    d = _CVZ_RATE ** n
+    b = -2.0 / (d + 1.0 / d)
+    c = -1.0
+    total = 0.0
+    for k in range(n):
+        c = b - c
+        total += c * (mu / (k + mu))
+        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
+    rhs = 1.0 / mu - 0.5 * _digamma_diff(0.5 * mu + 0.25)
+    return _build_report("alt_series_digamma", {"mu": mu}, total / mu, rhs, tol, n)
 
 
 def check_p_integral(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:

@@ -18,7 +18,8 @@ decay only algebraically, 1/(1+x^2) and x^(-1/2)/(1+x).
 The closed forms delta_closed and delta_derivative, and the digamma
 combination behind the p_integral step, are checked the same way over
 the whole range of |a| they accept, with working digits that grow with
-the cancellation in their references, and so is the t-domain form of
+the cancellation in their references, and so are both sides of the
+alternating-series step over the mu it accepts and the t-domain form of
 delta(a) - ln a, in the scale its step integrates it in.  ln_gamma is swept over the x it
 accepts, densely next to its zeros at x = 1 and 2, and digamma likewise
 next to its zero at x = 1.4616....
@@ -193,6 +194,30 @@ def test_delta_derivative_on_its_whole_domain():
             err = float(abs(mpmath.mpf(delta_derivative(a)) - ref))
         if not err <= 2e-15 * float(ref):
             bad.append((a, err, float(ref)))
+    assert not bad, bad
+
+
+# mu over the whole range check_alt_series_digamma accepts, every half
+# decade, so 100 and 1e15 are among them.
+ALT_SERIES_MU = [sys.float_info.min] + _log_spaced(1229, 1e-307, 1e307) + [1.7e308]
+
+
+def test_alt_series_digamma_on_its_whole_domain():
+    # The series side is within max(tol/10, 8 eps) relative at every mu,
+    # its term count fixed by tol; the closed side within 4 eps.
+    eps = sys.float_info.epsilon
+    bad = []
+    for mu in ALT_SERIES_MU:
+        with mpmath.workdps(_digits(mu)):
+            m = mpmath.mpf(mu)
+            ref = (mpmath.digamma((m + 1) / 2) - mpmath.digamma(m / 2)) / 2
+            for tol in (1e-4, 1e-8, 1e-14):
+                rep = proofchain.check_alt_series_digamma(mu, tol)
+                lhs_err = float(abs(mpmath.mpf(rep.lhs) / ref - 1))
+                rhs_err = float(abs(mpmath.mpf(rep.rhs) / ref - 1))
+                if not (rep.passed and lhs_err <= max(tol / 10, 8 * eps)
+                        and rhs_err <= 4 * eps):
+                    bad.append((mu, tol, lhs_err, rhs_err, rep.passed))
     assert not bad, bad
 
 
