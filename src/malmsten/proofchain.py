@@ -75,12 +75,11 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
-# t_domain and z_domain reject |a| at or below this.  Measured at
-# quad.DEFAULT_TOLERANCE, t_domain still converges honestly at a = 1e-12
-# and z_domain at a = 1e-6; z_domain fails from 1e-9 (29,382 calls).  At
-# DEFAULT_TOL's quadrature tolerance z_domain converges at 1e-9 (921
-# calls, 8.9e-11 relative off) and fails from 1e-12.  The cutoff keeps a
-# wide margin.
+# t_domain and z_domain reject |a| at or below this.  At DEFAULT_TOLERANCE
+# t_domain converges honestly at a = 1e-12, and z_domain at 1e-6 but not
+# 1e-9 (29,382 calls); at DEFAULT_TOL's quadrature tolerance z_domain
+# converges at 1e-9 (921 calls, 8.9e-11 relative off) and fails from
+# 1e-12.  The cutoff keeps a wide margin.
 SMALL_A_CUTOFF = 1e-3
 
 _TOL_FLOOR = 1e-14
@@ -405,32 +404,27 @@ def check_alt_series_digamma(mu: float, tol: float = DEFAULT_TOL) -> IdentityRep
     digamma(mu/2)).
 
     The series side is Algorithm 1 of Cohen, Rodriguez Villegas and
-    Zagier (Experiment. Math. 9 (2000) 3-12): a weighted sum of the
-    first n terms.  1/(k+mu) = int_0^1 x^(k+mu-1) dx is a moment
-    sequence of a positive weight, so the sum is within 2/(3+sqrt 8)^n
-    relative, and n = max(1, ceil(ln(20/tol) / ln(3+sqrt 8))) puts
-    that under tol/10 at every mu: 7, 13, 15, 18 and 20 terms at tol
-    1e-4, 1e-8, 1e-10, 1e-12 and 1e-14.  The algorithm divides its sum
-    by d = ((3+sqrt 8)^n + (3+sqrt 8)^-n)/2 at the end; here the weights
-    carry 1/d from the start, so none exceeds 1.  Each term is summed as
-    its weight times mu/(k+mu), and the total divided by mu once, so
-    nothing overflows at mu = DBL_MIN, and at large mu, where the terms
-    nearly cancel and mu/(k+mu) rounds to 1, they carry no rounding of
-    their own.  Against mpmath, on log-spaced mu from DBL_MIN to
-    1.7e308, the rounding stays within 8 eps of the truncated sum; each
-    weight divided by k + mu would reach 20 eps.
+    Zagier (Experiment. Math. 9 (2000) 3-12).  1/(k+mu) is a moment
+    sequence of a positive weight, so its weighted sum of n terms is
+    within 2/(3+sqrt 8)^n relative, and n = max(1, ceil(ln(20/tol) /
+    ln(3+sqrt 8))) puts that under tol/10 at every mu: 7, 13, 15, 18
+    and 20 terms at tol 1e-4, 1e-8, 1e-10, 1e-12 and 1e-14.  The
+    weights carry the algorithm's final 1/d from the start, so none
+    exceeds 1; each term is its weight times mu/(k+mu), which is 1 at
+    large mu, where the terms nearly cancel, and the total is divided by
+    mu once.  So nothing overflows, and against mpmath from mu = DBL_MIN
+    to 1.7e308 the rounding stays within 8 eps of the truncated sum
+    (20 eps with each weight divided by k + mu).
 
-    The closed side is written as 1/mu - (1/2) R'(mu/2 + 1/4), with
-    R'(s) = digamma(s + 3/4) - digamma(s + 1/4) the kernel behind
-    delta_derivative: one step of digamma(x+1) = digamma(x) + 1/x
-    turns digamma(mu/2) into digamma(mu/2 + 1) - 2/mu.  R' is one
-    expansion, never a difference of digamma values, and its argument is
-    at least 1/4.  Its half is at most half of 1/mu, since the sum is at
-    least 1/(2 mu), so the subtraction at most triples the relative
-    error of its operands.
+    The closed side is 1/mu - (1/2) R'(mu/2 + 1/4), with R'(s) =
+    digamma(s + 3/4) - digamma(s + 1/4) the kernel behind
+    delta_derivative, after one step of digamma(x+1) = digamma(x) + 1/x.
+    R' is one expansion, not a difference of digamma values, and the sum
+    is at least 1/(2 mu), so its half is at most half of 1/mu: the
+    subtraction at most triples the relative error of its operands.
 
     Requires mu at least the smallest normal float, a margin above
-    1/DBL_MAX = 5.6e-309, below which the closed side's 1/mu overflows.
+    1/DBL_MAX = 5.6e-309, below which 1/mu overflows.
     """
     mu = _checked_real(mu, "mu")
     if mu < sys.float_info.min:

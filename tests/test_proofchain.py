@@ -249,8 +249,8 @@ def test_alt_series_rejects_bad_mu():
 @pytest.mark.parametrize("mu", [1e-310, 5e-324])
 def test_alt_series_rejects_subnormal_mu(mu):
     # The check rejects mu below the smallest normal float, a margin above
-    # 5.6e-309, where the series' first term 1/mu overflows, so the check
-    # and the chain's step at a = mu skip with a reason that names mu.
+    # 5.6e-309, where the closed side's 1/mu overflows, so the check and
+    # the chain's step at a = mu skip with a reason that names mu.
     reason = f"mu must be a positive normal float, got {mu!r}"
     with pytest.raises(ValueError, match=reason):
         check_alt_series_digamma(mu)
