@@ -7,21 +7,23 @@ The central quantity is
 
 an even function of a that stays finite at a = 0.  From it follow the
 constant int_0^inf ln(x) sech(x) dx and the two-parameter family
-int_0^inf ln(a x) sech(b x) dx.  Every product of powers and gamma
-values is evaluated as a sum of logarithms, and delta and its
+int_0^inf ln(a x) sech(b x) dx, both through the one correctly rounded
+literal K = ln(2 pi^{3/2} / Gamma(1/4)^2).  Every product of powers and
+gamma values is evaluated as a sum of logarithms, and delta and its
 derivative each as one expansion of their gamma-function ratio, so
 nothing overflows for any finite argument.  Against a multi-precision
-oracle each result is within about a dozen ulp of its largest term
-(each function's docstring gives its figures); near a zero of the
-result (delta at |a| = 0.8993, malmsten_c at a/b = 1.393) that bounds
-the absolute error only.
+oracle each result is within a few ulp of its largest term (each
+function's docstring gives its figures); near a zero of the result
+(delta at |a| = 0.8993, malmsten_c at a/b = 1.393) that bounds the
+absolute error only.
 """
 
 import math
 from collections import namedtuple
 
-# digamma and gamma_ratio_log are not called here, but bench/tracing.py
-# patches all three specfun names on this module through getattr.
+# digamma, gamma_ratio_log and ln_gamma are not called here, but
+# bench/tracing.py patches all three specfun names on this module through
+# getattr.
 from .specfun import (_checked_real, _digamma_diff, _lgamma_ratio, digamma,
                       gamma_ratio_log, ln_gamma)
 
@@ -33,10 +35,11 @@ __all__ = [
     "delta_derivative",
 ]
 
-_LN_2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
-_HALF_LN_2 = 0.5 * _LN_2
-_LN_GAMMA_QUARTER = ln_gamma(0.25)
+_HALF_LN_2 = 0.5 * math.log(2.0)
+# ln(2 pi^{3/2} / Gamma(1/4)^2), the double nearest its exact value
+# (-0x1.53908b5527318p-3).
+_K = -0.16580304006210933
 
 
 _MalmstenFields = namedtuple("_MalmstenFields", "a b")
@@ -79,28 +82,26 @@ def delta_closed(a: float) -> float:
 def malmsten_c(params: MalmstenParams) -> float:
     """int_0^inf ln(a x)/cosh(b x) dx for positive scales a and b.
 
-    Equals (pi/b) ln( 2 sqrt(a) pi^{3/2} / (sqrt(b) Gamma(1/4)^2) ); the
-    a = b = 1 point reduces to vardi_b_constant().  Measured against
-    50-digit mpmath values at 4,000 log-uniform a in [1e-6, 1e12] and b
-    in [1e-10, 1e6], the error stays within 10 ulp of the largest of
-    the logarithms times pi/b.  Below b = pi/DBL_MAX = 1.7476e-308, where
-    pi/b overflows, the bracket is divided by b first, so the result is
-    finite wherever the integral is: -5.2e307 at a = b = 1e-308.
+    Equals (pi/b) (K + (ln a - ln b)/2) with K = ln(2 pi^{3/2} /
+    Gamma(1/4)^2); the logarithms are differenced first, so a = b gives
+    exactly (pi/b) K, and the a = b = 1 point is vardi_b_constant().
+    Measured against 50-digit mpmath values at 4,000 log-uniform a in
+    [1e-6, 1e12] and b in [1e-10, 1e6] and 4,000 more with a and b both
+    in [1e-300, 1e300], the error stays within 3 eps (eps = 2^-52) of
+    the largest of |K|, |ln a|/2 and |ln b|/2, times pi/b.  Below
+    b = pi/DBL_MAX = 1.7476e-308, where pi/b overflows, the bracket is
+    divided by b first, so the result is finite wherever the integral
+    is: -5.2e307 at a = b = 1e-308.
     """
     scale = math.pi / params.b
-    bracket = (
-        _LN_2
-        + 0.5 * math.log(params.a)
-        - 0.5 * math.log(params.b)
-        + 1.5 * _LN_PI
-        - 2.0 * _LN_GAMMA_QUARTER
-    )
+    bracket = _K + 0.5 * (math.log(params.a) - math.log(params.b))
     return math.pi * (bracket / params.b) if scale == math.inf else scale * bracket
 
 
 def vardi_b_constant() -> float:
     """int_0^inf ln(x)/cosh(x) dx = pi ln( 2 pi^{3/2} / Gamma(1/4)^2 ),
-    malmsten_c at a = b = 1; 4.1e-15 relative off the exact value."""
+    malmsten_c at a = b = 1: pi times K, which is the double nearest the
+    exact value, 6.9e-17 relative off it."""
     return malmsten_c(MalmstenParams(1.0, 1.0))
 
 

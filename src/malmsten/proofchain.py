@@ -498,7 +498,9 @@ def check_c_quadrature(params: MalmstenParams,
     The quadrature runs in y = b x, where the mass sits near y = 1 for
     every b: (1/b) int_0^inf (ln a - ln b + ln y) / cosh(y) dy.  Requires
     malmsten_c(params) to be finite, which fails where the integral
-    overflows (at a = b, below b = 2.9e-309).
+    overflows (at a = b, below b = 2.9e-309).  run_full_chain runs it at
+    (|a|, 1), where ln a is the term that b_reduction's ln(y) sech(y)
+    quadrature does not already check.
     """
     closed = malmsten_c(params)
     if not math.isfinite(closed):
@@ -530,8 +532,9 @@ def run_full_chain(a_grid: Sequence[float], tol: float = DEFAULT_TOL) -> ChainRe
     sech_cosine_transform (at t = |a|), t_domain, z_domain,
     alt_series_digamma (at mu = |a|), p_integral.  After the grid loop
     come the a-independent b_reduction and, per grid point again,
-    c_quadrature at scales a = b = |a|.  Grid entries violating a
-    step's precondition are skipped for that step and recorded.
+    c_quadrature at scales (|a|, 1), which checks malmsten_c's ln a
+    term.  Grid entries violating a step's precondition are skipped for
+    that step and recorded.
 
     The grid must be non-empty with finite entries.  Report order is
     deterministic in (grid position, step) for identical inputs.
@@ -555,9 +558,7 @@ def run_full_chain(a_grid: Sequence[float], tol: float = DEFAULT_TOL) -> ChainRe
 
     for a in grid:
         try:
-            if a == 0.0:
-                raise ValueError("requires a nonzero scale")
-            steps.append(check_c_quadrature(MalmstenParams(abs(a), abs(a)), tol))
+            steps.append(check_c_quadrature(MalmstenParams(abs(a), 1.0), tol))
         except ValueError as exc:
             skipped.append(SkippedStep("c_quadrature", {"a": a}, str(exc)))
 

@@ -80,18 +80,12 @@ _LGAMMA_RATIO_COEFFS = (
 )
 
 # R': 2 B_k(3/4) / k for odd k = 3..19, the coefficient of s^{-k}: the R
-# series differentiated term by term.
-_DIGAMMA_DIFF_COEFFS = (
-    -1 / 32,
-    5 / 512,
-    -61 / 8192,
-    1385 / 131072,
-    -50521 / 2097152,
-    2702765 / 33554432,
-    -199360981 / 536870912,
-    19391512145 / 8589934592,
-    -2404879675441 / 137438953472,
-)
+# series differentiated term by term, -(k - 1) times R's coefficient of
+# s^{1-k} (each product is the correctly rounded rational), and the k = 19
+# term that R's series does not need.
+_DIGAMMA_DIFF_COEFFS = tuple(
+    -(k - 1) * c for k, c in zip(range(3, 19, 2), _LGAMMA_RATIO_COEFFS)
+) + (-2404879675441 / 137438953472,)
 
 # Q: -2 (B_k(1/8) - B_k(3/8)) / k for even k = 2..22, the coefficient of
 # w^{-k} with w = x - 1/8; the odd powers cancel.

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import malmsten.closedform as closedform
 import malmsten.proofchain as pc
 from malmsten.closedform import MalmstenParams, delta_closed, vardi_b_constant
 from malmsten.proofchain import (
@@ -262,14 +263,17 @@ def test_alt_series_rejects_subnormal_mu(mu):
 @pytest.mark.parametrize("a", [1e-309, 5e-324])
 def test_c_quadrature_rejects_infinite_closed_side(a):
     # Below b = 2.9e-309 the closed side vardi_b_constant()/b overflows,
-    # so the check and the chain's step at a = b = |a| skip with a reason
-    # that names both scales.
+    # so the check at a = b rejects it with a reason that names both
+    # scales.  The chain runs the step at (|a|, 1), where malmsten_c is
+    # finite, so there it runs and passes.
     reason = f"malmsten_c is not finite at a = {a!r}, b = {a!r}"
     with pytest.raises(ValueError, match=reason):
         check_c_quadrature(MalmstenParams(a, a))
     report = run_full_chain([-a])
-    assert SkippedStep("c_quadrature", {"a": -a}, reason) in report.skipped
-    assert "c_quadrature" not in {s.name for s in report.steps}
+    [step] = [s for s in report.steps if s.name == "c_quadrature"]
+    assert step.params == {"a": a, "b": 1.0}
+    assert step.passed
+    assert "c_quadrature" not in {s.name for s in report.skipped}
 
 
 def test_alt_series_at_smallest_normal_mu():
@@ -439,9 +443,13 @@ def test_full_chain_records_skips():
     assert {s.name for s in skipped_for_neg} == {"z_domain", "p_integral"}
     skipped_for_tiny = [s for s in report.skipped if s.params.get("a") == 1e-160]
     assert {s.name for s in skipped_for_tiny} == {"arctan_kernel", "t_domain", "z_domain"}
+    # The chain's c_quadrature step at (|a|, 1) is ruled out by
+    # MalmstenParams, before the check is called.
+    assert SkippedStep("c_quadrature", {"a": 0.0},
+                       "a must be a positive finite real, got 0.0") in report.skipped
     for s in report.skipped:
         assert s.reason
-        if s.name == "c_quadrature":  # skipped by the chain, never called
+        if s.name == "c_quadrature":
             continue
         with pytest.raises(ValueError) as exc:
             getattr(pc, "check_" + s.name)(*s.params.values())
@@ -577,11 +585,11 @@ def test_derived_quadrature_tolerance_keeps_every_step(tol):
 # alt_series_digamma), summed over the grid.  They are deterministic, so
 # they pin what each step costs and show which one moved.  At tol 1e-8
 # the derived quadrature tolerance saves against DEFAULT_TOLERANCE: the
-# total would be 4,468 instead of 3,553.
+# total would be 4,468 instead of 3,425.
 A05_STEP_EVALUATIONS = {
     1e-8: {"delta_quadrature": 473, "arctan_kernel": 434, "sech_cosine_transform": 605,
            "t_domain": 381, "z_domain": 407, "alt_series_digamma": 65, "p_integral": 300,
-           "b_reduction": 208, "c_quadrature": 680},
+           "b_reduction": 208, "c_quadrature": 552},
     1e-14: {"delta_quadrature": 665, "arctan_kernel": 530, "sech_cosine_transform": 717,
             "t_domain": 605, "z_domain": 463, "alt_series_digamma": 100, "p_integral": 471,
             "b_reduction": 272, "c_quadrature": 680},
@@ -596,3 +604,28 @@ def test_a05_evaluations_per_step(tol):
         per_step[step.name] += step.evaluations
     assert per_step == A05_STEP_EVALUATIONS[tol]
     assert report.total_evaluations == sum(per_step.values())
+
+
+def _scaled(f, factor=1.0 + 1e-6):
+    return lambda *args: factor * f(*args)
+
+
+# Each entry perturbs one closed form the chain checks, on proofchain or
+# on closedform's constant; the chain must notice.
+CLOSED_FORM_MUTANTS = {
+    "malmsten_c with a and b swapped": (
+        pc, "malmsten_c", lambda p, real=pc.malmsten_c: real(MalmstenParams(p.b, p.a))),
+    "malmsten_c scaled": (pc, "malmsten_c", _scaled(pc.malmsten_c)),
+    "vardi_b_constant scaled": (pc, "vardi_b_constant", _scaled(pc.vardi_b_constant)),
+    "delta_closed scaled": (pc, "delta_closed", _scaled(pc.delta_closed)),
+    "K scaled": (closedform, "_K", closedform._K * (1.0 + 1e-6)),
+}
+
+
+@pytest.mark.parametrize("mutant", CLOSED_FORM_MUTANTS)
+def test_full_chain_catches_a_wrong_closed_form(monkeypatch, mutant):
+    # delta_derivative is not among them: no step reaches it.
+    module, name, value = CLOSED_FORM_MUTANTS[mutant]
+    monkeypatch.setattr(module, name, value)
+    report = run_full_chain(A05_GRID)
+    assert not report.overall_pass
