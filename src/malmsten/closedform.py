@@ -35,7 +35,6 @@ __all__ = [
     "delta_derivative",
 ]
 
-_LN_PI = math.log(math.pi)
 _HALF_LN_2 = 0.5 * math.log(2.0)
 # ln(2 pi^{3/2} / Gamma(1/4)^2), the double nearest its exact value
 # (-0x1.53908b5527318p-3).

@@ -46,7 +46,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .closedform import _LN_PI, MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
+from .closedform import MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
 from .quad import DEFAULT_TOLERANCE, ToleranceSpec, integrate_finite, integrate_semi_infinite
 # digamma and gamma_ratio_log are not called here; bench/tracing.py patches
 # them on this module.
@@ -476,7 +476,7 @@ def check_b_reduction(tol: float = DEFAULT_TOL) -> IdentityReport:
     """
     tol = _checked_real(tol, "tol", floor=_TOL_FLOOR)
     target = vardi_b_constant()
-    assembled = math.pi * (0.5 * delta_closed(0.0)) + 0.5 * math.pi * _LN_PI
+    assembled = math.pi * (0.5 * delta_closed(0.0)) + 0.5 * math.pi * math.log(math.pi)
     subs = [
         _quadrature_check("log_sech_quadrature", {}, vardi_b_integrand(), target, tol),
         _quadrature_check("sech_normalization", {}, sech, 0.5 * math.pi, tol),
