@@ -30,19 +30,20 @@ Each transform has two sides, t > 0 and t < 0: right and left of the
 midpoint for tanh-sinh, up and down from x = exp(e^-c - 1) = 0.379 for
 (0, inf).  Every level is summed in one order: its center node (level 0
 only), then the two sides in pairs outward, right before left and up
-before down, then the rest of the longer side.  Level 0 (h = 1)
-evaluates every node of both sides in one loop that also keeps each
-side's terms w*f, and sums |w*f|.  Each side is then trimmed: every
-later level L sums only its first limit * 2**(L-1) nodes, those with t
-below one level-0 step past its outermost node whose |w*f| exceeds
+before down, then the rest of the longer side, by one loop over the
+pairs and one over that rest.  Level 0 (h = 1) evaluates every node of
+both sides, and its loops also keep each side's terms w*f.
+Each side is then trimmed: walking its level-0 terms inward from the
+outer end, the walk stops at the outermost node whose |w*f| exceeds
 eps * (the level's sum of |w*f|), because past that node the terms are
-below roundoff.  A side whose own level-0 terms are all 0, or any side
-when that sum is not finite, is not trimmed, and a side whose outermost
-level-0 node is itself significant has nothing to trim.  A call that
-trims neither side evaluates every node of the tables.  On the
-benchmark's quad inputs trimming halves the integrand calls.  A later
-level is one loop over the pairs and one over the longer side's rest,
-and a side is sliced only where its limit falls short of its table.
+below roundoff, and every later level L sums only the side's first
+limit * 2**(L-1) nodes, those with t below one level-0 step past that
+node.  A side whose own level-0 terms are all 0, or any side when that
+sum is not finite, is not trimmed, and a side whose outermost level-0
+node is itself significant has nothing to trim.  A call that trims
+neither side evaluates every node of the tables.  On the benchmark's
+quad inputs trimming halves the integrand calls.  A later level slices
+a side only where its limit falls short of its table.
 One consequence of trimming: f is never called at later-level nodes
 beyond a side's limit, so a NaN that only such nodes would meet goes
 unseen.  A NaN at any level-0 node still raises.
@@ -109,8 +110,9 @@ center, take 2.1 MB, and levels 0-7 0.07 MB.  Every integrate_finite
 call in the package is on (0, 1).  A call on an interval the cache does
 not hold first builds whole tables for every level it reaches, trimmed
 or not, at a sinh, a cosh and two exp per node; on 900 calls over 300
-one-off intervals with cheap integrands that took 1.9 times as long as
-the same calls on cached tables.
+one-off intervals (spans 0.01 to 10; 1, exp and sqrt at the default
+tolerance) that took 2.7 times as long as the same calls on cached
+tables, and each interval's first call alone 5 times as long.
 
 Two threads that ask for an uncached table at once may each build it;
 the cache keeps one, and both are identical.
@@ -206,31 +208,6 @@ def _nan_error(x) -> QuadratureError:
     return QuadratureError(f"integrand returned NaN at x = {x!r}")
 
 
-def _limits(terms: tuple, abs_sum: float) -> list:
-    """The trim limit of each side, in level-0 steps of t.
-
-    terms[side] holds the level-0 w*f of that side, outward from t = 1;
-    abs_sum is the level's whole sum of |w*f|, the center node included.
-    A side is cut one step past its outermost node with |w*f| above
-    eps * abs_sum.  When its own terms are all 0 or abs_sum is not
-    finite, the level says nothing about where it ends, and its limit is
-    one step past its last level-0 node.  That keeps the whole side: the
-    rule that cut the next level-0 node, the weight floor, the up side's
-    argument cap or an abscissa rounding onto its endpoint, cuts every
-    node further out at every level too.
-    """
-    limits = [len(side_terms) + 1 for side_terms in terms]
-    if math.isfinite(abs_sum):
-        threshold = _EPS * abs_sum
-        for side, side_terms in enumerate(terms):
-            k = len(side_terms)
-            if any(side_terms):
-                while k and abs(side_terms[k - 1]) <= threshold:
-                    k -= 1
-                limits[side] = k + 1
-    return limits
-
-
 def _refine(f: Callable[[float], float], tables: Callable[[int], tuple],
             tol: ToleranceSpec) -> QuadratureResult:
     """Drive level doubling over a two-sided node sum.
@@ -239,35 +216,77 @@ def _refine(f: Callable[[float], float], tables: Callable[[int], tuple],
     h = 2**-level: every node at level 0, with the center node (x, w) or
     None; the odd-indexed ones after, with no center.  A level sums w*f
     over its center, then the two sides in pairs outward, side 0 first,
-    then the rest of the longer side.  Level 0 also keeps each side's
-    terms for _limits; each later level sums side s only over its nodes
-    with t below limit[s], that is its first limit[s] * 2**(level-1).
-    A level's sum of |w*f| is its sum of w*f minus twice its negative
-    terms.  The level-L value is h_L times the running total.
+    then the rest of the longer side.  A level's sum of |w*f| is its sum
+    of w*f minus twice its negative terms.  The level-L value is h_L
+    times the running total.
+
+    Level 0 also keeps each side's terms w*f, outward from t = 1, and
+    from them sets the side's trim limit, in level-0 steps of t: a walk
+    inward from the outer end stops at the outermost node with |w*f|
+    above eps * the level's sum of |w*f| (the center included), and the
+    limit is one step past it.  Each later level sums side s only over
+    its nodes with t below limit[s], that is its first
+    limit[s] * 2**(level-1).  When a side's own terms are all 0 or the
+    level's sum of |w*f| is not finite, the level says nothing about
+    where the side ends, and its limit is one step past its last level-0
+    node.  That keeps the whole side: the rule that cut the next level-0
+    node, the weight floor, the up side's argument cap or an abscissa
+    rounding onto its endpoint, cuts every node further out at every
+    level too.
     """
+    rel_tol, abs_tol = tol
     center, ((xs0, ws0), (xs1, ws1)) = tables(0)
-    terms = ([], [])                       # each side's level-0 w*f, outward
-    nodes = [] if center is None else [(*center, [])]  # the center's term is not kept
-    n0, n1 = len(xs0), len(xs1)
-    for k in range(max(n0, n1)):           # f's call order: the pairs, then the rest
-        if k < n0:
-            nodes.append((xs0[k], ws0[k], terms[0]))
-        if k < n1:
-            nodes.append((xs1[k], ws1[k], terms[1]))
     total = negative = 0.0                 # sum of w*f, and of its negative terms
-    for x, w, side_terms in nodes:
+    if center is not None:                 # its term is not kept
+        x, w = center
         term = w * f(x)
         total += term
         if not term >= 0.0:
             if term != term:
                 raise _nan_error(x)
             negative += term
-        side_terms.append(term)
+    terms0, terms1 = [], []                # each side's level-0 w*f, outward
+    keep0, keep1 = terms0.append, terms1.append
+    for x, w, y, v in zip(xs0, ws0, xs1, ws1):
+        term = w * f(x)
+        total += term
+        if not term >= 0.0:
+            if term != term:
+                raise _nan_error(x)
+            negative += term
+        keep0(term)
+        term = v * f(y)
+        total += term
+        if not term >= 0.0:
+            if term != term:
+                raise _nan_error(y)
+            negative += term
+        keep1(term)
+    n0, n1 = len(xs0), len(xs1)
+    if n0 != n1:                           # the side with more nodes goes on alone
+        both, xs, ws, keep = (n1, xs0, ws0, keep0) if n0 > n1 else (n0, xs1, ws1, keep1)
+        for x, w in zip(xs[both:], ws[both:]):
+            term = w * f(x)
+            total += term
+            if not term >= 0.0:
+                if term != term:
+                    raise _nan_error(x)
+                negative += term
+            keep(term)
     abs_total = total - 2.0 * negative
-    count = len(nodes)
-    limit0, limit1 = _limits(terms, abs_total)
+    count = n0 + n1 + (center is not None)
+    limit0, limit1 = n0 + 1, n1 + 1        # untrimmed: one step past the last node
+    if math.isfinite(abs_total):
+        threshold = _EPS * abs_total
+        if any(terms0):
+            while limit0 > 1 and abs(terms0[limit0 - 2]) <= threshold:
+                limit0 -= 1
+        if any(terms1):
+            while limit1 > 1 and abs(terms1[limit1 - 2]) <= threshold:
+                limit1 -= 1
     value = total
     diff = math.inf
+    h = 1.0
     for level in range(1, _MAX_LEVEL + 1):
         _, ((xs0, ws0), (xs1, ws1)) = tables(level)
         per_step = 1 << (level - 1)        # nodes new at this level per level-0 step
@@ -309,11 +328,11 @@ def _refine(f: Callable[[float], float], tables: Callable[[int], tuple],
         total += partial
         abs_total += partial - 2.0 * negative
         count += n0 + n1
-        h = 0.5 ** level
+        h *= 0.5                           # exact: h = 2**-level
         prev = value
         value = h * total
         diff = abs(value - prev)
-        if count and math.isfinite(value) and diff <= max(tol.abs_tol, tol.rel_tol * abs(value)):
+        if (diff <= abs_tol or diff <= rel_tol * abs(value)) and count and math.isfinite(value):
             estimate = max(diff, _ROUNDOFF * _EPS * h * abs_total, h * abs(end0), h * abs(end1))
             return QuadratureResult(value, estimate, count, True)
     estimate = diff if count and math.isfinite(diff) else math.inf
@@ -411,8 +430,8 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
 
     The node tables of the last 13 (lo, hi, level) used are kept, which
     is every level of one interval.  A call on an interval they do not
-    hold builds its tables first, which can double the time of a call
-    with a cheap integrand.
+    hold builds its tables first, which can make a call with a cheap
+    integrand 5 times as slow.
     """
     # Finite ordered floats, the usual call, pass one test; anything else
     # is converted and checked bound by bound, each failure with its message.

@@ -4,12 +4,13 @@ A fixed, seeded set of the integrals the identity chain relies on is
 integrated at four tolerances.  Every result that claims convergence must
 be within its own error_estimate of the exact value and within the
 tolerance it was asked for.  The exact values are the closed forms
-evaluated in mpmath with 50 working digits; only the mathematics is
-shared with the library.  The set includes the regions where estimates
-used to fall short: the z-domain form just above a = 0.02, at both ends
-of the a range check_z_domain accepts, and malmsten_c with a small b,
-whose integrand spreads far out before it decays.  The z-domain cases at
-the ends of that range must also converge at every tolerance.  So must
+evaluated in mpmath with 50 working digits, taken from the benchmark's
+oracle (bench/oracle.py); only the mathematics is shared with the
+library.  The set includes the regions where estimates used to fall
+short: the z-domain form just above a = 0.02, at both ends of the a
+range check_z_domain accepts, and malmsten_c with a small b, whose
+integrand spreads far out before it decays.  The z-domain cases at the
+ends of that range must also converge at every tolerance.  So must
 the chain's integrands in the scale its checks integrate them in (delta
 in y = pi x, the c integral in y = b x for b from 1e-300 to 1e300, and
 the sech-cosine transform for t up to 35), and two integrands that
@@ -26,9 +27,11 @@ next to its zero at x = 1.4616....  The constant ln(2 pi^{3/2} /
 Gamma(1/4)^2) behind malmsten_c must be the double nearest its value.
 """
 
+import importlib.util
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,16 +47,18 @@ REL_TOLS = (1e-6, 1e-9, 1e-12, 1e-14)
 _DPS = 50
 
 
-def _delta(a):
-    s = abs(mpmath.mpf(a)) / 2
-    return 2 * (mpmath.log(mpmath.sqrt(2)) + mpmath.loggamma(s + 0.75)
-                - mpmath.loggamma(s + 0.25))
+def _load_oracle():
+    """The benchmark's oracle module, whose closed forms these tests share."""
+    path = Path(__file__).parent.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _malmsten_c(a, b):
-    a, b = mpmath.mpf(a), mpmath.mpf(b)
-    return (mpmath.pi / b) * (mpmath.log(2) + mpmath.log(a) / 2 - mpmath.log(b) / 2
-                              + 1.5 * mpmath.log(mpmath.pi) - 2 * mpmath.loggamma(0.25))
+_ORACLE = _load_oracle()
+_delta = _ORACLE._delta            # delta(a) in mpmath
+_malmsten_c = _ORACLE._malmsten_c  # C(a, b) in mpmath
 
 
 def _log_uniform(rng, n, lo, hi):

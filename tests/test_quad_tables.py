@@ -412,6 +412,26 @@ def test_infinite_terms_of_both_signs_raise_no_nan_error(engine, reference, args
     assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("engine, reference, args", [
+    (integrate_finite, reference_finite, (0.0, 1.0)),
+    (integrate_semi_infinite, reference_semi_infinite, ()),
+])
+def test_infinite_level_does_not_converge(engine, reference, args):
+    # f is +inf at side 0's first level-1 node, so level 1's value is inf
+    # and so is its difference from level 0.  rel_tol * |value| is inf as
+    # well, so the difference passes the tolerance test, and only the
+    # value's own finiteness keeps the call from converging.  Every later
+    # level's difference is inf - inf = NaN.
+    plus = _level1_first_nodes(engine)[0]
+
+    def f(x):
+        return math.inf if x == plus else math.exp(-x)
+
+    got = engine(f, *args)
+    assert not got.converged and got.value == got.error_estimate == math.inf
+    assert repr(got) == repr(reference(f, *args))
+
+
 @pytest.mark.parametrize("engine, reference, args, window", [
     (integrate_finite, reference_finite, (0.0, 1.0), (0.8, 0.9)),
     (integrate_semi_infinite, reference_semi_infinite, (), (0.9, 1.0)),
@@ -492,7 +512,10 @@ def test_benchmark_quad_traffic_matches_reference():
 
 
 def test_full_chain_matches_reference(monkeypatch):
-    grid = [0.25, 0.5, 1.0, 2.0, 4.0, 0.005]
+    # The A05 grid, a point in the small-a band, and the chain workload's
+    # other kinds of point: a negative a, a = 0 with its skipped steps,
+    # and t = 20, whose sech-cosine step is the chain's longest.
+    grid = [0.25, 0.5, 1.0, 2.0, 4.0, 0.005, -3.7, 0.0, 20.0]
     got = proofchain.run_full_chain(grid)
     monkeypatch.setattr(proofchain, "integrate_finite", reference_finite)
     monkeypatch.setattr(proofchain, "integrate_semi_infinite", reference_semi_infinite)
