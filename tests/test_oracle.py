@@ -14,7 +14,9 @@ ends of that range must also converge at every tolerance.  So must
 the chain's integrands in the scale its checks integrate them in (delta
 in y = pi x, the c integral in y = b x for b from 1e-300 to 1e300, and
 the sech-cosine transform for t up to 35), and two integrands that
-decay only algebraically, 1/(1+x^2) and x^(-1/2)/(1+x).
+decay only algebraically, 1/(1+x^2) and x^(-1/2)/(1+x).  One delta
+case outside the set converges outside its estimate; it is kept as a
+strict expected failure until the stopping rule mends it.
 
 The closed forms delta_closed and delta_derivative, and the digamma
 combination behind the p_integral step, are checked the same way over
@@ -162,6 +164,20 @@ def test_converged_results_are_within_estimate_and_tolerance():
                     bad.append((label, rel_tol, res.value, err, res.error_estimate, bound))
     assert converged > 600
     assert not bad, bad
+
+
+# A delta case the seeded set above does not meet, from the benchmark's
+# quad pool: its last two levels agree within rel_tol, yet its value is
+# 1.15 times its estimate away from the integral.  It passes once the
+# stopping rule is honest here (ROADMAP item 3).
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: converges 1.65e-6 off with error_estimate 1.44e-6")
+def test_delta_integrand_within_its_estimate_at_a_coincidence():
+    a = -0.01025236128095408
+    res = integrate_semi_infinite(proofchain.delta_integrand(a), ToleranceSpec(rel_tol=1e-6))
+    with mpmath.workdps(_DPS):
+        err = float(abs(mpmath.mpf(res.value) - _delta(a)))
+    assert err <= res.error_estimate, (res, err)
 
 
 def test_z_domain_converges_on_its_whole_range():
