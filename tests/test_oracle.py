@@ -23,10 +23,13 @@ combination behind the p_integral step, are checked the same way over
 the whole range of |a| they accept, with working digits that grow with
 the cancellation in their references, and so are both sides of the
 alternating-series step over the mu it accepts and the t-domain form of
-delta(a) - ln a, in the scale its step integrates it in.  ln_gamma is swept over the x it
-accepts, densely next to its zeros at x = 1 and 2, and digamma likewise
-next to its zero at x = 1.4616....  The constant ln(2 pi^{3/2} /
-Gamma(1/4)^2) behind malmsten_c must be the double nearest its value.
+delta(a) - ln a, in the scale its step integrates it in.  The digamma
+combination is also swept densely over (0, 2.5], where its kernel is a
+fitted polynomial, and the p_integral step is checked at a whose nodes
+straddle the kernel's edges.  ln_gamma is swept over the x it accepts,
+densely next to its zeros at x = 1 and 2, and digamma likewise next to
+its zero at x = 1.4616....  The constant ln(2 pi^{3/2} / Gamma(1/4)^2)
+behind malmsten_c must be the double nearest its value.
 """
 
 import importlib.util
@@ -289,6 +292,24 @@ def test_digamma_quartet_kernel():
     assert not bad, bad
 
 
+# Below x = 2 the kernel is a fitted polynomial, after one lift step below
+# x = 1: 2,500 points in (0, 2.5] and the floats on both sides of each edge.
+QUARTET_BRANCH_XS = ([k / 1000 for k in range(1, 2501)]
+                     + [x for c in (1.0, 2.0)
+                        for x in (math.nextafter(c, 0.0), c, math.nextafter(c, 3.0))])
+
+
+def test_digamma_quartet_kernel_on_its_polynomial_branch():
+    bad = []
+    with mpmath.workdps(_DPS):
+        for x in QUARTET_BRANCH_XS:
+            ref = _quartet(x)
+            err = float(abs((mpmath.mpf(_digamma_quartet(x)) - ref) / ref))
+            if not err <= 1e-15:
+                bad.append((x, err))
+    assert not bad, bad
+
+
 def test_ln_gamma_on_its_whole_domain():
     # Past about 2.55e305 ln Gamma(x) overflows; the bound is absolute next
     # to the zeros at x = 1 and 2, where no relative bound can hold.
@@ -332,8 +353,9 @@ def test_digamma_on_its_whole_domain():
 # tol.  At a = 1e6 that quadrature stops after 31 evaluations, once two
 # levels agree within its abs_tol of 1e-15; with the integrand evaluated
 # exactly it returns the same value, 3.7e-14 relative off.
-@pytest.mark.parametrize("a, rel", [(1.0, 1e-14), (100.0, 1e-14), (1e4, 1e-14), (1e6, 1e-13)])
-def test_p_integral_quadrature_side(a, rel):
+def _p_integral_rel_err(report, a):
+    """report.lhs's error relative to the p integral at a, whose
+    antiderivative is a bracket of ln Gamma values."""
     with mpmath.workdps(_digits(a)):
         lo, hi = mpmath.mpf(a) / 2, mpmath.mpf(a) / 2 + 0.25
 
@@ -343,8 +365,25 @@ def test_p_integral_quadrature_side(a, rel):
                     + mpmath.loggamma(y + 0.5) - mpmath.loggamma(y))
 
         ref = bracket(0) - bracket(1)
-        err = float(abs((mpmath.mpf(proofchain.check_p_integral(a, tol=1e-14).lhs) - ref) / ref))
-    assert err <= rel
+        return float(abs((mpmath.mpf(report.lhs) - ref) / ref))
+
+
+@pytest.mark.parametrize("a, rel", [(1.0, 1e-14), (100.0, 1e-14), (1e4, 1e-14), (1e6, 1e-13)])
+def test_p_integral_quadrature_side(a, rel):
+    assert _p_integral_rel_err(proofchain.check_p_integral(a, tol=1e-14), a) <= rel
+
+
+# The step's nodes x = a/2 + p/4 straddle the Q kernel's edge at x = 1
+# (one lift step below it) at a = 1.9, and its edge at x = 2 (the
+# polynomial below it, the lift to 10 and the series above) at a = 3.9.
+# Each converges within the bound above after as many evaluations as when
+# the kernel lifted every x below 10.
+@pytest.mark.parametrize("a, evaluations", [(1.9, 117), (3.9, 60)])
+def test_p_integral_across_the_quartet_kernel_edges(a, evaluations):
+    report = proofchain.check_p_integral(a, tol=1e-14)
+    assert report.passed and not report.note
+    assert _p_integral_rel_err(report, a) <= 1e-14
+    assert report.evaluations == evaluations
 
 
 @pytest.mark.parametrize("a", [2e-3, 1.0, 1e3, 1e6, 1e12])

@@ -218,6 +218,21 @@ def test_kernel_coefficients_are_their_rationals(name):
     assert abs(rationals[-1]) / z ** power(ks[-1]) < 2.0 ** -56 * abs(kernel(specfun._LIFT_THRESHOLD))
 
 
+def test_quartet_polynomial_is_its_fit():
+    # Each literal is the float of its coefficient in the fit its comment
+    # names, rerun here.
+    mpmath = pytest.importorskip("mpmath")
+
+    def quartet(t):
+        x = t + 1.5
+        return (mpmath.digamma(x) - mpmath.digamma(x + 0.5)
+                - mpmath.digamma(x + 0.25) + mpmath.digamma(x + 0.75))
+
+    with mpmath.workdps(60):
+        poly = mpmath.chebyfit(quartet, [-0.5, 0.5], len(specfun._DIGAMMA_QUARTET_POLY))
+    assert specfun._DIGAMMA_QUARTET_POLY == tuple(float(c) for c in reversed(poly))
+
+
 def test_kernels_match_the_public_functions():
     # Where the public functions lose few digits to cancellation, the
     # kernels agree with their differences.
@@ -269,6 +284,12 @@ def _digamma_diff_reference(s):
 
 
 def _digamma_quartet_reference(x):
+    if x < 2.0:
+        lift = 0.0
+        if x < 1.0:
+            lift = (0.25 * x + 0.09375) / (x * (x + 0.5) * (x + 0.25) * (x + 0.75))
+            x += 1.0
+        return _loop_horner(specfun._DIGAMMA_QUARTET_POLY, x - 1.5) - lift
     lift = 0.0
     while x < specfun._LIFT_THRESHOLD:
         lift += (0.25 * x + 0.09375) / (x * (x + 0.5) * (x + 0.25) * (x + 0.75))
@@ -279,9 +300,11 @@ def _digamma_quartet_reference(x):
 
 
 # x in (0, 40]: 10,000 points below the lift threshold, 3,000 above it,
-# and a few next to 0 and to the threshold.
+# and a few next to 0, to the Q kernel's branch edges at 1 and 2 and to
+# the threshold.
 KERNEL_PIN_XS = ([k / 1000 for k in range(1, 10001)] + [10.0 + k / 100 for k in range(1, 3001)]
-                 + [1e-300, 1e-12, 0.5e-3, 9.999999999999998, 10.000000000000002])
+                 + [1e-300, 1e-12, 0.5e-3, 0.9999999999999999, 1.0000000000000002,
+                    1.9999999999999998, 2.0000000000000004, 9.999999999999998, 10.000000000000002])
 
 
 @pytest.mark.parametrize("kernel, reference", [
