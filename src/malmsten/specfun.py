@@ -259,8 +259,8 @@ def _digamma_quartet(x: float) -> float:
     to x = 2, where the fit's error is largest against |Q|; over x in
     [1e-6, 1e12] it is at most 2e-15.
     """
+    lift = 0.0
     if x < 2.0:
-        lift = 0.0
         if x < 1.0:
             lift = (0.25 * x + 0.09375) / (x * (x + 0.5) * (x + 0.25) * (x + 0.75))
             x += 1.0
@@ -271,7 +271,6 @@ def _digamma_quartet(x: float) -> float:
                                 * t + c15) * t + c14) * t + c13) * t + c12) * t + c11) * t + c10)
                           * t + c9) * t + c8) * t + c7) * t + c6) * t + c5) * t + c4) * t + c3)
                     * t + c2) * t + c1) * t + c0) - lift
-    lift = 0.0
     while x < _LIFT_THRESHOLD:
         lift += (0.25 * x + 0.09375) / (x * (x + 0.5) * (x + 0.25) * (x + 0.75))
         x += 1.0

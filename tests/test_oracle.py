@@ -175,7 +175,7 @@ def test_converged_results_are_within_estimate_and_tolerance():
 # stopping rule is honest here (ROADMAP item 3).
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 3: converges 1.65e-6 off with error_estimate 1.44e-6")
-def test_delta_integrand_within_its_estimate_at_a_coincidence():
+def test_delta_integrand_converges_within_its_estimate():
     a = -0.01025236128095408
     res = integrate_semi_infinite(proofchain.delta_integrand(a), ToleranceSpec(rel_tol=1e-6))
     with mpmath.workdps(_DPS):
