@@ -27,11 +27,10 @@ difference is honest it moves the residual by at most about that
 hundredth of tol.  A quadrature that does not converge at the looser
 tolerance fails its step.
 
-Three checks integrate in y = s x, where the integrand decays like
+Two checks integrate in y = s x, where the integrand decays like
 e^{-y} as the semi-infinite transform expects: delta_quadrature
-(s = pi), c_quadrature (s = b) and t_domain (s = |a|, t for x).  The
-first two pass s to _quadrature_check, whose tolerances then apply to
-the integral in y.
+(s = pi) and t_domain (s = |a|, t for x).  delta_quadrature passes s
+to _quadrature_check, whose tolerances then apply to the integral in y.
 
 run_full_chain looks each check up by its module-level name at call
 time, never through a reference captured at import, and
@@ -111,8 +110,8 @@ class SkippedStep(namedtuple("SkippedStep", "name params reason")):
     """A check that run_full_chain did not run at one grid point.
 
     name is the step's name as in IdentityReport, params the argument it
-    would have run at (a, t or mu; for c_quadrature the grid value a),
-    and reason the message of the ValueError that ruled it out.
+    would have run at (a, t or mu), and reason the message of the
+    ValueError that ruled it out.
     """
 
     __slots__ = ()
@@ -194,12 +193,7 @@ def delta_integrand(a: float) -> Callable[[float], float]:
 
 def vardi_b_integrand() -> Callable[[float], float]:
     """ln(x) / cosh(x)."""
-
-    def f(x: float) -> float:
-        e = math.exp(-abs(x))
-        return math.log(x) * (2.0 * e / (1.0 + e * e))
-
-    return f
+    return _c_integrand(1.0)
 
 
 def malmsten_c_integrand(params: MalmstenParams) -> Callable[[float], float]:
@@ -247,14 +241,15 @@ def _sech_cosine_integrand(t: float) -> Callable[[float], float]:
     return f
 
 
-def _c_scaled_integrand(params: MalmstenParams) -> Callable[[float], float]:
-    """(ln a - ln b + ln y) / cosh(y): b times malmsten_c_integrand(params)
-    at x = y/b, so its integral over (0, inf) is b malmsten_c(params)."""
-    shift = math.log(params.a) - math.log(params.b)
+def _c_integrand(a: float) -> Callable[[float], float]:
+    """ln(a x) / cosh(x), with ln(a x) split as ln a + ln x.  ln x comes
+    first, so x <= 0 raises math's ValueError as ln x alone does."""
+    ln_a = math.log(a)
 
-    def f(y: float) -> float:
-        e = math.exp(-y)
-        return (shift + math.log(y)) * (2.0 * e / (1.0 + e * e))
+    def f(x: float) -> float:
+        ln_x = math.log(x)
+        e = math.exp(-x)
+        return (ln_a + ln_x) * (2.0 * e / (1.0 + e * e))
 
     return f
 
@@ -491,22 +486,19 @@ def check_b_reduction(tol: float = DEFAULT_TOL) -> IdentityReport:
                           evaluations=sum(r.evaluations for r in subs), note=note)
 
 
-def check_c_quadrature(params: MalmstenParams,
-                       tol: float = DEFAULT_TOL) -> IdentityReport:
-    """Quadrature of ln(a x)/cosh(b x) against malmsten_c(params).
+def check_c_quadrature(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
+    """Quadrature of ln(a x)/cosh(x) against malmsten_c(MalmstenParams(a, 1)).
 
-    The quadrature runs in y = b x, where the mass sits near y = 1 for
-    every b: (1/b) int_0^inf (ln a - ln b + ln y) / cosh(y) dy.  Requires
-    malmsten_c(params) to be finite, which fails where the integral
-    overflows (at a = b, below b = 2.9e-309).  run_full_chain runs it at
-    (|a|, 1), where ln a is the term that b_reduction's ln(y) sech(y)
-    quadrature does not already check.
+    The family int_0^inf ln(a x)/cosh(b x) dx reduces to b = 1 by
+    y = b x, so the check runs there: its ln a term is what
+    b_reduction's ln(x) sech(x) quadrature does not already check.
+    Requires a positive finite a.  For b != 1, compare
+    integrate_semi_infinite(malmsten_c_integrand(params)) with
+    malmsten_c(params).
     """
-    closed = malmsten_c(params)
-    if not math.isfinite(closed):
-        raise ValueError(f"malmsten_c is not finite at a = {params.a!r}, b = {params.b!r}")
-    return _quadrature_check("c_quadrature", {"a": params.a, "b": params.b},
-                             _c_scaled_integrand(params), closed, tol, scale=params.b)
+    params = MalmstenParams(a, 1.0)
+    return _quadrature_check("c_quadrature", {"a": params.a}, _c_integrand(params.a),
+                             malmsten_c(params), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +514,7 @@ _GRID_STEPS = (
     ("z_domain", "a", lambda a: a),
     ("alt_series_digamma", "mu", abs),
     ("p_integral", "a", lambda a: a),
+    ("c_quadrature", "a", abs),
 )
 
 
@@ -530,11 +523,10 @@ def run_full_chain(a_grid: Sequence[float], tol: float = DEFAULT_TOL) -> ChainRe
 
     Per grid point a the order is: delta_quadrature, arctan_kernel,
     sech_cosine_transform (at t = |a|), t_domain, z_domain,
-    alt_series_digamma (at mu = |a|), p_integral.  After the grid loop
-    come the a-independent b_reduction and, per grid point again,
-    c_quadrature at scales (|a|, 1), which checks malmsten_c's ln a
-    term.  Grid entries violating a step's precondition are skipped for
-    that step and recorded.
+    alt_series_digamma (at mu = |a|), p_integral, c_quadrature (at
+    |a|).  After the grid loop comes the a-independent b_reduction.
+    Grid entries violating a step's precondition are skipped for that
+    step and recorded.
 
     The grid must be non-empty with finite entries.  Report order is
     deterministic in (grid position, step) for identical inputs.
@@ -555,12 +547,6 @@ def run_full_chain(a_grid: Sequence[float], tol: float = DEFAULT_TOL) -> ChainRe
                 skipped.append(SkippedStep(name, {arg_name: arg}, str(exc)))
 
     steps.append(check_b_reduction(tol))
-
-    for a in grid:
-        try:
-            steps.append(check_c_quadrature(MalmstenParams(abs(a), 1.0), tol))
-        except ValueError as exc:
-            skipped.append(SkippedStep("c_quadrature", {"a": a}, str(exc)))
 
     overall = all(s.passed for s in steps)
     total_evals = sum(s.evaluations for s in steps)

@@ -262,9 +262,8 @@ def test_unsupported_values_do_not_serialize(value):
 
 @pytest.mark.parametrize("grid", ["1e-300", "1e-308", "5e-324"])
 def test_verify_tiny_a_is_not_a_usage_error(capsys, grid):
-    # a*a underflows to 0 here, and at 5e-324 the closed side of
-    # c_quadrature overflows too; the chain must report and skip, not
-    # divide by zero or fail to serialize an infinite closed side.
+    # a*a underflows to 0 here; the chain must report and skip, not
+    # divide by zero or fail to serialize a non-finite value.
     code, out, err = run_cli(capsys, "verify", "--grid", grid)
     assert code == 1
     assert "division" not in err

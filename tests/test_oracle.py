@@ -12,11 +12,12 @@ range check_z_domain accepts, and malmsten_c with a small b, whose
 integrand spreads far out before it decays.  The z-domain cases at the
 ends of that range must also converge at every tolerance.  So must
 the chain's integrands in the scale its checks integrate them in (delta
-in y = pi x, the c integral in y = b x for b from 1e-300 to 1e300, and
+in y = pi x, the c integral at b = 1 for a from 1e-300 to 1e300, and
 the sech-cosine transform for t up to 35), and two integrands that
 decay only algebraically, 1/(1+x^2) and x^(-1/2)/(1+x).  One delta
-case outside the set converges outside its estimate; it is kept as a
-strict expected failure until the stopping rule mends it.
+case outside the set converges outside its estimate, and one c case
+converges far outside it below abs_tol; both are kept as strict
+expected failures until the stopping rule mends them.
 
 The closed forms delta_closed and delta_derivative, and the digamma
 combination behind the p_integral step, are checked the same way over
@@ -128,7 +129,7 @@ def _cases():
 
 def _scaled_chain_cases(rng):
     """The chain's integrands in the scale its checks integrate them in:
-    delta_quadrature in y = pi x and c_quadrature in y = b x, and the
+    delta_quadrature in y = pi x and c_quadrature at b = 1, and the
     sech-cosine transform over the t the step keeps at its default tol."""
     cases = []
     for k, a in enumerate([0.0] + _log_uniform(rng, 24, 1e-3, 1e12)):
@@ -136,12 +137,10 @@ def _scaled_chain_cases(rng):
         f = proofchain._delta_scaled_integrand(a)
         cases.append((f"delta scaled a={a!r}",
                       lambda tol, f=f: integrate_semi_infinite(f, tol), mpmath.pi * _delta(a)))
-    pairs = [(b, b) for b in _log_uniform(rng, 8, 1e-300, 1e300)]
-    pairs += zip(_log_uniform(rng, 24, 1e-3, 1e3), _log_uniform(rng, 24, 1e-10, 1e6))
-    for a, b in pairs:
-        f = proofchain._c_scaled_integrand(MalmstenParams(a, b))
-        cases.append((f"c scaled a={a!r} b={b!r}",
-                      lambda tol, f=f: integrate_semi_infinite(f, tol), b * _malmsten_c(a, b)))
+    for a in _log_uniform(rng, 32, 1e-300, 1e300):
+        f = proofchain._c_integrand(a)
+        cases.append((f"c b=1 a={a!r}",
+                      lambda tol, f=f: integrate_semi_infinite(f, tol), _malmsten_c(a, 1)))
     for t in [0.0] + _log_uniform(rng, 24, 1e-2, 35.0):
         f = proofchain._sech_cosine_integrand(t)
         cases.append((f"sech_cosine t={t!r}",
@@ -180,6 +179,20 @@ def test_delta_integrand_converges_within_its_estimate():
     res = integrate_semi_infinite(proofchain.delta_integrand(a), ToleranceSpec(rel_tol=1e-6))
     with mpmath.workdps(_DPS):
         err = float(abs(mpmath.mpf(res.value) - _delta(a)))
+    assert err <= res.error_estimate, (res, err)
+
+
+# A c case whose whole integral lies below abs_tol = 1e-15: levels 0 and
+# 1 agree at once on a value 1,111 times the estimate away from the
+# integral.  Unlike the delta case above, no rel_tol mends it; it passes
+# once the stopping rule is honest below abs_tol (ROADMAP item 3).
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: converges after 31 calls on -5.58e-19 with "
+                          "error_estimate 5.58e-19; the integral is -6.2008e-16")
+def test_c_integrand_below_abs_tol_converges_within_its_estimate():
+    res = integrate_semi_infinite(proofchain.malmsten_c_integrand(MalmstenParams(1.0, 1e17)))
+    with mpmath.workdps(_DPS):
+        err = float(abs(mpmath.mpf(res.value) - _malmsten_c(1, 1e17)))
     assert err <= res.error_estimate, (res, err)
 
 

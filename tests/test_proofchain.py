@@ -11,10 +11,12 @@ import re
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import malmsten.closedform as closedform
 import malmsten.proofchain as pc
-from malmsten.closedform import MalmstenParams, delta_closed, vardi_b_constant
+from malmsten.closedform import MalmstenParams, delta_closed, malmsten_c, vardi_b_constant
 from malmsten.proofchain import (
     DEFAULT_TOL,
     ChainReport,
@@ -101,9 +103,9 @@ INLINED_INTEGRANDS = (
     + [(f"delta scaled a={a}", pc._delta_scaled_integrand(a),
         lambda y, a=a: 2.0 * math.log(math.hypot(y / math.pi, abs(a))) * sech(y))
        for a in (0.0, -1e-200, 0.5, 1e150)]
-    + [(f"c scaled a={a} b={b}", pc._c_scaled_integrand(MalmstenParams(a, b)),
-        lambda y, a=a, b=b: (math.log(a) - math.log(b) + math.log(y)) * sech(y))
-       for a, b in ((1.0, 1.0), (0.01, 1e-10), (1e-308, 1e-308))]
+    + [(f"c b=1 a={a}", pc._c_integrand(a),
+        lambda x, a=a: (math.log(a) + math.log(x)) * sech(x))
+       for a in (1e-300, 0.01, 1.0, 1e300)]
 )
 
 
@@ -261,18 +263,15 @@ def test_alt_series_rejects_subnormal_mu(mu):
 
 
 @pytest.mark.parametrize("a", [1e-309, 5e-324])
-def test_c_quadrature_rejects_infinite_closed_side(a):
-    # Below b = 2.9e-309 the closed side vardi_b_constant()/b overflows,
-    # so the check at a = b rejects it with a reason that names both
-    # scales.  The chain runs the step at (|a|, 1), where malmsten_c is
-    # finite, so there it runs and passes.
-    reason = f"malmsten_c is not finite at a = {a!r}, b = {a!r}"
-    with pytest.raises(ValueError, match=reason):
-        check_c_quadrature(MalmstenParams(a, a))
+def test_c_quadrature_at_tiny_a(a):
+    # At b = 1 malmsten_c is finite for every positive a, so the check
+    # and the chain's step at |a| run and pass down to the smallest
+    # subnormal.
+    rep = check_c_quadrature(a)
+    assert rep.passed
     report = run_full_chain([-a])
     [step] = [s for s in report.steps if s.name == "c_quadrature"]
-    assert step.params == {"a": a, "b": 1.0}
-    assert step.passed
+    assert step == rep
     assert "c_quadrature" not in {s.name for s in report.skipped}
 
 
@@ -344,12 +343,16 @@ def test_b_reduction_reports_non_convergence(monkeypatch):
 
 
 def test_c_quadrature():
-    rep = check_c_quadrature(MalmstenParams(1.0, 1.0))
+    rep = check_c_quadrature(1.0)
     assert rep.passed
+    assert rep.params == {"a": 1.0}
     assert math.isclose(rep.lhs, vardi_b_constant(), rel_tol=1e-13)
-    rep2 = check_c_quadrature(MalmstenParams(0.1, 0.5))
+    rep2 = check_c_quadrature(0.1)
     assert rep2.passed
+    assert rep2.rhs == malmsten_c(MalmstenParams(0.1, 1.0))
     _assert_report_consistent(rep2)
+    with pytest.raises(ValueError, match=r"^a must be a positive finite real, got -1.0$"):
+        check_c_quadrature(-1.0)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -416,8 +419,8 @@ def test_full_chain_single_point():
         "z_domain",
         "alt_series_digamma",
         "p_integral",
-        "b_reduction",
         "c_quadrature",
+        "b_reduction",
     ]
     assert report.overall_pass
     assert not report.skipped
@@ -443,22 +446,18 @@ def test_full_chain_records_skips():
     assert {s.name for s in skipped_for_neg} == {"z_domain", "p_integral"}
     skipped_for_tiny = [s for s in report.skipped if s.params.get("a") == 1e-160]
     assert {s.name for s in skipped_for_tiny} == {"arctan_kernel", "t_domain", "z_domain"}
-    # The chain's c_quadrature step at (|a|, 1) is ruled out by
-    # MalmstenParams, before the check is called.
     assert SkippedStep("c_quadrature", {"a": 0.0},
                        "a must be a positive finite real, got 0.0") in report.skipped
     for s in report.skipped:
         assert s.reason
-        if s.name == "c_quadrature":
-            continue
         with pytest.raises(ValueError) as exc:
             getattr(pc, "check_" + s.name)(*s.params.values())
         assert str(exc.value) == s.reason
 
     # Where a^2 underflows to 0 the chain still reports instead of
     # raising; the step whose quadrature cannot resolve the scale fails
-    # as non-converged.  c_quadrature integrates in y = b x, where every
-    # b looks alike, so it passes.
+    # as non-converged.  c_quadrature runs at b = 1, where ln a only
+    # shifts the integrand, so it passes.
     report = run_full_chain([1e-300])
     assert "arctan_kernel" in {s.name for s in report.skipped}
     failed = [s for s in report.steps if not s.passed]
@@ -525,7 +524,7 @@ _QUADRATURE_CHECKS = [
     (check_z_domain, (0.5,)),
     (check_p_integral, (0.5,)),
     (check_b_reduction, ()),
-    (check_c_quadrature, (MalmstenParams(0.5, 0.5),)),
+    (check_c_quadrature, (0.5,)),
 ]
 
 
@@ -579,6 +578,43 @@ def test_derived_quadrature_tolerance_keeps_every_step(tol):
         assert step.passed
         assert min(step.abs_err, step.rel_err) <= tol / 10, step
         _assert_report_consistent(step)
+
+
+# a log-uniform over +-[5e-324, DBL_MAX], or 0.
+_LN_A_RANGE = (math.log(5e-324), math.log(sys.float_info.max))
+WHOLE_DOMAIN_A = st.one_of(
+    st.just(0.0),
+    st.builds(lambda ln_a, sign: sign * math.exp(ln_a),
+              st.floats(*_LN_A_RANGE), st.sampled_from((1.0, -1.0))))
+
+
+# The goal of "right on the whole accepted domain" for the chain.  The
+# examples are today's known failures, cheapest first: report_multiple_bugs
+# =False stops at the first, so while the mark stands the test runs only
+# 1e4.  Without the mark, the 200 drawn examples take about 0.9 s today;
+# the dearest a, below 1e-300, costs about 38,000 calls and 40 ms, most
+# of them in p_integral.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP items 1 and 11: domain steps pass on their absolute branch "
+                          "from a ~ 3,500 and at a = -3.7, tol 1e-14; p_integral does not "
+                          "converge at a <= 1e-300")
+@given(a=WHOLE_DOMAIN_A, tol=st.sampled_from((1e-4, 1e-8, 1e-12, 1e-14)))
+@example(a=1e4, tol=1e-8)
+@example(a=1e6, tol=1e-8)
+@example(a=1e12, tol=1e-8)
+@example(a=1e100, tol=1e-8)
+@example(a=-3.7, tol=1e-14)
+@example(a=1e-300, tol=1e-8)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          report_multiple_bugs=False, suppress_health_check=[HealthCheck.too_slow])
+def test_full_chain_on_the_whole_domain(a, tol):
+    report = run_full_chain([a], tol)
+    # Both sides exactly 0 is right past a ~ 1.6e161, where the true
+    # excess delta(a) - ln|a| is below the subnormal range.
+    bad = [s for s in report.steps
+           if not (s.passed and (s.rel_err <= tol or s.lhs == s.rhs == 0.0))]
+    assert not bad, bad
+    assert all(s.reason for s in report.skipped), report.skipped
 
 
 # Integrand evaluations per step on A05 (series terms for
