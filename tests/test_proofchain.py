@@ -11,7 +11,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import malmsten.closedform as closedform
@@ -589,11 +589,11 @@ WHOLE_DOMAIN_A = st.one_of(
 
 
 # The goal of "right on the whole accepted domain" for the chain.  The
-# examples are today's known failures, cheapest first: report_multiple_bugs
-# =False stops at the first, so while the mark stands the test runs only
-# 1e4.  Without the mark, the 200 drawn examples take about 0.9 s today;
-# the dearest a, below 1e-300, costs about 38,000 calls and 40 ms, most
-# of them in p_integral.
+# examples are today's known failures, cheapest first.  With
+# report_multiple_bugs=False the test stops at the first failure, so
+# while the mark stands it runs only a = 1e4.  Without the mark, the 200
+# drawn examples take about 0.9 s today; the dearest a, below 1e-300,
+# costs about 38,000 calls and 40 ms, most of them in p_integral.
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP items 1 and 11: domain steps pass on their absolute branch "
                           "from a ~ 3,500 and at a = -3.7, tol 1e-14; p_integral does not "
@@ -606,7 +606,7 @@ WHOLE_DOMAIN_A = st.one_of(
 @example(a=-3.7, tol=1e-14)
 @example(a=1e-300, tol=1e-8)
 @settings(max_examples=200, derandomize=True, database=None, deadline=None,
-          report_multiple_bugs=False, suppress_health_check=[HealthCheck.too_slow])
+          report_multiple_bugs=False)
 def test_full_chain_on_the_whole_domain(a, tol):
     report = run_full_chain([a], tol)
     # Both sides exactly 0 is right past a ~ 1.6e161, where the true
