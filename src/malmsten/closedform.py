@@ -86,15 +86,15 @@ def malmsten_c(params: MalmstenParams) -> float:
     exactly (pi/b) K, and the a = b = 1 point is vardi_b_constant().
     Measured against 50-digit mpmath values at 4,000 log-uniform a in
     [1e-6, 1e12] and b in [1e-10, 1e6] and 4,000 more with a and b both
-    in [1e-300, 1e300], the error stays within 3 eps (eps = 2^-52) of
-    the largest of |K|, |ln a|/2 and |ln b|/2, times pi/b.  Below
-    b = pi/DBL_MAX = 1.7476e-308, where pi/b overflows, the bracket is
-    divided by b first, so the result is finite wherever the integral
-    is: -5.2e307 at a = b = 1e-308.
+    in [1e-300, 1e300], on 20 seeds, the error stays within 3.5 eps
+    (eps = 2^-52) of the largest of |K|, |ln a|/2 and |ln b|/2, times
+    pi/b.  It is formed as (pi bracket)/b, which cannot overflow where
+    (pi/b) bracket does, so the result is finite wherever the integral
+    is, also below b = pi/DBL_MAX = 1.7476e-308: -5.2e307 at
+    a = b = 1e-308.
     """
-    scale = math.pi / params.b
     bracket = _K + 0.5 * (math.log(params.a) - math.log(params.b))
-    return math.pi * (bracket / params.b) if scale == math.inf else scale * bracket
+    return math.pi * bracket / params.b
 
 
 def vardi_b_constant() -> float:

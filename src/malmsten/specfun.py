@@ -55,8 +55,11 @@ import math
 
 __all__ = ["ln_gamma", "digamma", "gamma_ratio_log", "sech"]
 
-# digamma arguments below this are shifted upward before the series is used.
-_SHIFT_THRESHOLD = 10.0
+# digamma and kernel arguments below this are lifted by whole steps before
+# the series is used.  At 10 the kernels' three series need 8, 9 and 11
+# terms; a lower value trades lift steps for longer series and longer
+# coefficient literals.
+_LIFT_THRESHOLD = 10.0
 
 # B_{2k} / (2k) for k = 1..7, with B_2 = 1/6, B_4 = -1/30, B_6 = 1/42,
 # B_8 = -1/30, B_10 = 5/66, B_12 = -691/2730, B_14 = 7/6.
@@ -69,11 +72,6 @@ _DIGAMMA_COEFFS = (
     -691.0 / 32760.0,
     1.0 / 12.0,
 )
-
-# Kernel arguments below this are lifted by whole steps before the series
-# is used.  At 10 the three series need 8, 9 and 11 terms; a lower value
-# trades lift steps for longer series and longer coefficient literals.
-_LIFT_THRESHOLD = 10.0
 
 # The kernels' series coefficients, each rational written as int / int,
 # which Python rounds correctly to the nearest float.
@@ -194,7 +192,7 @@ def digamma(x: float) -> float:
     """
     x = _checked_real(x, "argument", True)
     shift = 0.0
-    while x < _SHIFT_THRESHOLD:
+    while x < _LIFT_THRESHOLD:
         shift += 1.0 / x
         x += 1.0
     inv = 1.0 / x

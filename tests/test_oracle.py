@@ -24,7 +24,8 @@ combination behind the p_integral step, are checked the same way over
 the whole range of |a| they accept, with working digits that grow with
 the cancellation in their references, and so are both sides of the
 alternating-series step over the mu it accepts and the t-domain form of
-delta(a) - ln a, in the scale its step integrates it in.  The digamma
+delta(a) - ln a, in the scale its step integrates it in; that form's
+integrand is also checked point by point wherever its value is normal.  The digamma
 combination is also swept densely over (0, 2.5], where its kernel is a
 fitted polynomial, and the p_integral step is checked at a whose nodes
 straddle the kernel's edges.  ln_gamma is swept over the x it accepts,
@@ -136,9 +137,9 @@ def _scaled_chain_cases(rng):
         a = a if k % 2 else -a
         f = proofchain._delta_scaled_integrand(a)
         cases.append((f"delta scaled a={a!r}",
-                      lambda tol, f=f: integrate_semi_infinite(f, tol), mpmath.pi * _delta(a)))
+                      lambda tol, f=f: integrate_semi_infinite(f, tol), _delta(a)))
     for a in _log_uniform(rng, 32, 1e-300, 1e300):
-        f = proofchain._c_integrand(a)
+        f = proofchain.malmsten_c_integrand(MalmstenParams(a, 1.0))
         cases.append((f"c b=1 a={a!r}",
                       lambda tol, f=f: integrate_semi_infinite(f, tol), _malmsten_c(a, 1)))
     for t in [0.0] + _log_uniform(rng, 24, 1e-2, 35.0):
@@ -279,12 +280,28 @@ def test_malmsten_constant_is_correctly_rounded():
 def test_malmsten_c_below_pi_over_dbl_max(a, b):
     # pi/b overflows below b = 1.7476e-308, yet the integral stays finite
     # down to about 2.9e-309 at a = b: -5.2e307 at a = b = 1e-308.  The
-    # error bound is the docstring's: 3 eps of the largest logarithm,
-    # here |ln b|/2, times pi/b.
+    # error is within 3 eps of the largest logarithm, here |ln b|/2, times
+    # pi/b, inside the docstring's 3.5 eps.
     with mpmath.workdps(_DPS):
         ref = _malmsten_c(a, b)
         err = abs(mpmath.mpf(malmsten_c(MalmstenParams(a, b))) - ref)
         bound = 3 * sys.float_info.epsilon * abs(mpmath.log(b)) / 2 * mpmath.pi / b
+    assert err <= bound, (float(err), float(bound))
+
+
+# The worst of the docstring's two sample sets on 20 seeds, in eps of its
+# scale max(|K|, |ln a|/2, |ln b|/2) pi/b: pi/b times the bracket read
+# 3.40 at the first and 3.41 at the second, pi times the bracket over b
+# 1.70 and 3.41.
+@pytest.mark.parametrize("a, b, eps_bound", [(0.0002701408787396444, 5921.188719551845, 2.0),
+                                             (0.00017497600665957832, 3035.0440291257983, 3.5)])
+def test_malmsten_c_at_its_worst_samples(a, b, eps_bound):
+    with mpmath.workdps(_DPS):
+        ref = _malmsten_c(a, b)
+        err = abs(mpmath.mpf(malmsten_c(MalmstenParams(a, b))) - ref)
+        scale = max(abs(mpmath.mpf(closedform._K)), abs(mpmath.log(a)) / 2,
+                    abs(mpmath.log(b)) / 2)
+        bound = eps_bound * sys.float_info.epsilon * scale * mpmath.pi / b
     assert err <= bound, (float(err), float(bound))
 
 
@@ -397,6 +414,26 @@ def test_p_integral_across_the_quartet_kernel_edges(a, evaluations):
     assert report.passed and not report.note
     assert _p_integral_rel_err(report, a) <= 1e-14
     assert report.evaluations == evaluations
+
+
+def test_t_domain_integrand_pointwise():
+    # The integrand forms 1 - sech(t/2) as (1-z)^2/(1+z^2) with 1 - z
+    # from expm1; so does the reference, where the sech form would cancel
+    # even at 40 digits once t = y/|a| is tiny.  The worst of 15,774
+    # normal values over 4,001 y per a read 2.5 eps.
+    bad = []
+    for a in (2e-3, 1.0, 1e3, 1e12):
+        f = proofchain._t_domain_integrand(a)
+        for y in _log_spaced(601, 1e-300, 700.0):
+            with mpmath.workdps(40):
+                m = mpmath.expm1(-mpmath.mpf(y) / (2 * a))
+                ref = mpmath.exp(-y) * m * m / ((1 + (1 + m) ** 2) * y)
+                if ref < sys.float_info.min:
+                    continue
+                err = float(abs(mpmath.mpf(f(y)) / ref - 1))
+            if not err <= 3 * sys.float_info.epsilon:
+                bad.append((a, y, err))
+    assert not bad, bad[:5]
 
 
 @pytest.mark.parametrize("a", [2e-3, 1.0, 1e3, 1e6, 1e12])

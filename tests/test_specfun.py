@@ -255,7 +255,7 @@ def _loop_horner(coeffs, inv2):
 
 def _digamma_reference(x):
     shift = 0.0
-    while x < specfun._SHIFT_THRESHOLD:
+    while x < specfun._LIFT_THRESHOLD:
         shift += 1.0 / x
         x += 1.0
     inv = 1.0 / x
