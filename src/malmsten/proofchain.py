@@ -28,10 +28,14 @@ hundredth of tol.  A quadrature that does not converge at the looser
 tolerance fails its step.
 
 Every quadrature integrates exactly the lhs its check reports, so the
-one rule applies to that lhs.  Two checks integrate in y = s x, where
-the integrand decays like e^{-y} as the semi-infinite transform
-expects: delta_quadrature (s = pi), whose integrand carries the 1/pi
-of dx = dy/pi, and t_domain (s = |a|, t for x), where dt/t = dy/y.
+one rule applies to that lhs.  Each (0, inf) quadrature integrates a
+per-call factor f over a weight that depends on the node alone (sech(x),
+sech(pi x), e^{-y} or the arctan kernel), which the engine folds into
+cached node tables; the factories below give each pair.  Two checks
+integrate in y = s x, where the integrand decays like e^{-y} as the
+semi-infinite transform expects: delta_quadrature (s = pi), whose f
+carries the 1/pi of dx = dy/pi, and t_domain (s = |a|, t for x), where
+dt/t = dy/y.
 
 run_full_chain looks each check up by its module-level name at call
 time, never through a reference captured at import, and
@@ -151,13 +155,15 @@ def _quadrature_tolerance(tol: float) -> ToleranceSpec:
 
 
 def _quadrature_check(name: str, params: dict, integrand: Callable[[float], float],
-                      closed: float, tol, interval: tuple | None = None) -> IdentityReport:
-    """Report the integral of integrand over interval ((0, inf) when
-    None) as the lhs against closed as the rhs."""
+                      closed: float, tol, interval: tuple | None = None,
+                      weight: Callable[[float], float] | None = None) -> IdentityReport:
+    """Report the integral of integrand over interval as the lhs against
+    closed as the rhs; when interval is None, that of integrand * weight
+    over (0, inf)."""
     tol = _checked_real(tol, "tol", floor=_TOL_FLOOR)
     qtol = _quadrature_tolerance(tol)
     if interval is None:
-        res = integrate_semi_infinite(integrand, qtol)
+        res = integrate_semi_infinite(integrand, qtol, weight)
     else:
         res = integrate_finite(integrand, *interval, qtol)
     return _build_report(name, params, res.value, closed, tol, res.evaluations, res.converged)
@@ -172,12 +178,19 @@ def _delta_excess(a: float) -> float:
 # Integrand factories.  Shared with the command line driver, and written so
 # no probe point the engine can reach produces an overflow or NaN.
 #
-# Each sech-kernel integrand writes sech(y) out as specfun.sech's own
-# formula, e = exp(-|y|), 2 e / (1 + e^2), which gives the same bits and
-# saves a function call per node; tests/test_proofchain.py pins every copy
-# bitwise against sech.  Only the public delta_integrand keeps the abs,
-# because a caller may pass x < 0: the private integrands are integrated on
-# (0, inf) alone, and malmsten_c_integrand's ln x rejects x <= 0 first.
+# The public delta_integrand and malmsten_c_integrand write sech out as
+# specfun.sech's own formula, e = exp(-|y|), 2 e / (1 + e^2), which gives
+# the same bits and saves a function call per node; tests/test_proofchain.py
+# pins both bitwise against sech.  Only delta_integrand keeps the abs,
+# because a caller may pass x < 0; malmsten_c_integrand's ln x rejects
+# x <= 0 first.
+#
+# The chain's own (0, inf) quadratures integrate f(x) * weight(x), where the
+# weight depends on the node alone: sech(x), sech(pi x), e^{-y} or the
+# arctan kernel.  The engine folds the weight into cached node tables, so
+# the private factories below build f alone.  Each weight is one
+# module-level function, which keys those tables.  None of them is a name
+# bench/tracing.py wraps, so traced and untraced runs share the tables.
 
 def delta_integrand(a: float) -> Callable[[float], float]:
     """ln(x^2 + a^2) / cosh(pi x), with ln(x^2+a^2) formed as
@@ -214,43 +227,76 @@ def vardi_b_integrand() -> Callable[[float], float]:
     return _LOG_SECH
 
 
+_sech = sech  # specfun.sech, kept when proofchain.sech is replaced
+
+
+def _sech_pi(x: float) -> float:
+    """The weight sech(pi x)."""
+    return _sech(math.pi * x)
+
+
+def _exp_neg(y: float) -> float:
+    """The weight e^{-y}."""
+    return math.exp(-y)
+
+
+def _arctan_weight(x: float) -> float:
+    """The weight (4/pi) x arctan(e^{-pi x})."""
+    return 4.0 / math.pi * x * math.atan(math.exp(-math.pi * x))
+
+
+def _one(x: float) -> float:
+    """f = 1: over the weight sech(x), the normalization int_0^inf sech."""
+    return 1.0
+
+
+def _log_integrand(a: float) -> Callable[[float], float]:
+    """f = ln a + ln x over the weight sech(x): ln(a x) / cosh(x)."""
+    ln_a = math.log(a)
+
+    def f(x: float) -> float:
+        return ln_a + math.log(x)
+
+    return f
+
+
 def _arctan_kernel_integrand(a: float) -> Callable[[float], float]:
-    """(4/pi) x arctan(e^{-pi x}) / (x^2 + a^2)."""
-    four_over_pi = 4.0 / math.pi
+    """f = 1 / (x^2 + a^2) over the weight (4/pi) x arctan(e^{-pi x})."""
     aa2 = a * a
 
     def f(x: float) -> float:
-        return four_over_pi * x * math.atan(math.exp(-math.pi * x)) / (x * x + aa2)
+        return 1.0 / (x * x + aa2)
 
     return f
 
 
 def _delta_scaled_integrand(a: float) -> Callable[[float], float]:
-    """ln((y/pi)^2 + a^2) / (pi cosh(y)): delta_integrand(a) at x = y/pi
-    times dx/dy = 1/pi, so its integral over (0, inf) is delta(a)."""
+    """f = (2/pi) ln hypot(y/pi, a) over the weight sech(y): together
+    ln((y/pi)^2 + a^2) / (pi cosh(y)), delta_integrand(a) at x = y/pi
+    times dx/dy = 1/pi, so the weighted integral over (0, inf) is
+    delta(a)."""
     aa = abs(a)
     two_over_pi = 2.0 / math.pi
 
     def f(y: float) -> float:
-        e = math.exp(-y)
-        return two_over_pi * math.log(math.hypot(y / math.pi, aa)) * (2.0 * e / (1.0 + e * e))
+        return two_over_pi * math.log(math.hypot(y / math.pi, aa))
 
     return f
 
 
 def _sech_cosine_integrand(t: float) -> Callable[[float], float]:
-    """cos(t x) / cosh(pi x)."""
+    """f = cos(t x) over the weight sech(pi x)."""
 
     def f(x: float) -> float:
-        e = math.exp(-math.pi * x)
-        return math.cos(t * x) * (2.0 * e / (1.0 + e * e))
+        return math.cos(t * x)
 
     return f
 
 
 def _t_domain_integrand(a: float) -> Callable[[float], float]:
-    """e^{-y} (1 - sech(t/2)) / y with t = y/|a|: the t-domain integrand
-    e^{-|a| t} (1 - sech(t/2)) / t in the variable y = |a| t."""
+    """f = (1 - sech(t/2)) / y with t = y/|a|, over the weight e^{-y}:
+    together the t-domain integrand e^{-|a| t} (1 - sech(t/2)) / t in the
+    variable y = |a| t."""
     neg_half_inv_a = -0.5 / abs(float(a))
 
     def f(y: float) -> float:
@@ -260,7 +306,7 @@ def _t_domain_integrand(a: float) -> Callable[[float], float]:
         # m * (m/y) underflows only where the integrand does.
         m = math.expm1(neg_half_inv_a * y)
         z = 1.0 + m
-        return math.exp(-y) * m * (m / y) / (1.0 + z * z)
+        return m * (m / y) / (1.0 + z * z)
 
     return f
 
@@ -273,11 +319,13 @@ def _z_domain_integrand(a: float) -> Callable[[float], float]:
         # with z = exp(s) and 1 - z = -expm1(s), s = ln(u)/(2a).  ln u
         # via log1p(u - 1) stays accurate next to u = 1, where the
         # completed integrand vanishes like s^2/|ln u|; below 1/2 plain
-        # log avoids log1p's domain edge once u - 1 rounds to -1.
+        # log avoids log1p's domain edge once u - 1 rounds to -1.  z is
+        # 1 - (1 - z), which loses z's low digits only where z << 1 and
+        # 1 + z^2, the one place z enters, rounds to 1 anyway.
         lnu = math.log1p(u - 1.0) if u > 0.5 else math.log(u)
         s = lnu * inv_2a
-        z = math.exp(s)
         omz = -math.expm1(s)
+        z = 1.0 - omz
         return -omz * omz / ((1.0 + z * z) * lnu)
 
     return f
@@ -298,7 +346,7 @@ def check_delta_quadrature(a: float, tol: float = DEFAULT_TOL) -> IdentityReport
     """
     a = _checked_real(a, "a")
     return _quadrature_check("delta_quadrature", {"a": a}, _delta_scaled_integrand(a),
-                             delta_closed(a), tol)
+                             delta_closed(a), tol, weight=_sech)
 
 
 def check_arctan_kernel(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
@@ -315,7 +363,7 @@ def check_arctan_kernel(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     if a * a < sys.float_info.min:
         raise ValueError(f"a*a must not underflow the normal float range, got a = {a!r}")
     return _quadrature_check("arctan_kernel", {"a": a}, _arctan_kernel_integrand(a),
-                             _delta_excess(a), tol)
+                             _delta_excess(a), tol, weight=_arctan_weight)
 
 
 def check_sech_cosine_transform(t: float, tol: float = DEFAULT_TOL) -> IdentityReport:
@@ -336,7 +384,7 @@ def check_sech_cosine_transform(t: float, tol: float = DEFAULT_TOL) -> IdentityR
         raise ValueError(f"t must not exceed 2 ln(tol/eps) = {t_max:.4g} at tol {tol!r}, "
                          f"got {t!r}")
     return _quadrature_check("sech_cosine_transform", {"t": t}, _sech_cosine_integrand(t),
-                             0.5 * sech(0.5 * t), tol)
+                             0.5 * sech(0.5 * t), tol, weight=_sech_pi)
 
 
 def check_t_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
@@ -362,7 +410,7 @@ def check_t_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
     if abs(a) <= SMALL_A_CUTOFF:
         raise ValueError(f"|a| must exceed {SMALL_A_CUTOFF}, got {a!r}")
     return _quadrature_check("t_domain", {"a": a}, _t_domain_integrand(a),
-                             _delta_excess(a), tol)
+                             _delta_excess(a), tol, weight=_exp_neg)
 
 
 def check_z_domain(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
@@ -457,6 +505,11 @@ def check_b_reduction(tol: float = DEFAULT_TOL) -> IdentityReport:
         (iii) the assembled constant pi (delta_closed(0)/2) +
               (pi/2) ln(pi) against vardi_b_constant().
 
+    Both quadratures run over the weight sech(x), with f = ln x and
+    f = 1.  So (ii) sums the sech weight table alone: it checks that the
+    table delta_quadrature, c_quadrature and (i) share integrates sech
+    to pi/2, while f = 1 is still called at every node it sums.
+
     All three are evaluated; the report carries the sub-identity with
     the worst error-to-tolerance margin, and passes only if every
     sub-identity is within tol and every quadrature converged.  The
@@ -466,8 +519,8 @@ def check_b_reduction(tol: float = DEFAULT_TOL) -> IdentityReport:
     target = vardi_b_constant()
     assembled = math.pi * (0.5 * delta_closed(0.0)) + 0.5 * math.pi * math.log(math.pi)
     subs = [
-        _quadrature_check("log_sech_quadrature", {}, vardi_b_integrand(), target, tol),
-        _quadrature_check("sech_normalization", {}, sech, 0.5 * math.pi, tol),
+        _quadrature_check("log_sech_quadrature", {}, math.log, target, tol, weight=_sech),
+        _quadrature_check("sech_normalization", {}, _one, 0.5 * math.pi, tol, weight=_sech),
         _build_report("constant_assembly", {}, assembled, target, tol),
     ]
     worst = max(subs, key=lambda r: min(r.abs_err, r.rel_err))
@@ -484,14 +537,18 @@ def check_c_quadrature(a: float, tol: float = DEFAULT_TOL) -> IdentityReport:
 
     The family int_0^inf ln(a x)/cosh(b x) dx reduces to b = 1 by
     y = b x, so the check runs there: its ln a term is what
-    b_reduction's ln(x) sech(x) quadrature does not already check.
+    b_reduction's ln(x) sech(x) quadrature does not already check.  It
+    integrates f = ln a + ln x over the weight sech(x), so its lhs is
+    ln a * S + L up to rounding, with S and L the sums of the sech
+    weights and of their ln x terms over the nodes it sums: the values
+    of b_reduction's two quadratures wherever they sum the same nodes.
     Requires a positive finite a.  For b != 1, compare
     integrate_semi_infinite(malmsten_c_integrand(params)) with
     malmsten_c(params).
     """
     params = MalmstenParams(a, 1.0)
-    return _quadrature_check("c_quadrature", {"a": params.a}, malmsten_c_integrand(params),
-                             malmsten_c(params), tol)
+    return _quadrature_check("c_quadrature", {"a": params.a}, _log_integrand(params.a),
+                             malmsten_c(params), tol, weight=_sech)
 
 
 # ---------------------------------------------------------------------------

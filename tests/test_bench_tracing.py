@@ -3,7 +3,9 @@
 bench/tracing.py takes its per-layer counts by replacing library names
 with wrappers, looked up with getattr: a renamed or removed name makes
 Tracer.install raise, and a name it does not put back would leave the
-library traced after the benchmark is done with it.
+library traced after the benchmark is done with it.  A traced chain must
+also count the integrand calls its reports give, and give the same
+reports as an untraced one.
 """
 
 import importlib.util
@@ -44,4 +46,23 @@ def test_tracer_restores_every_name_it_patches():
     assert {("malmsten.closedform", "ln_gamma"), ("malmsten.specfun", "ln_gamma"),
             ("malmsten.proofchain", "check_p_integral"), ("malmsten.cli", "render_json"),
             ("malmsten", "run_full_chain")} <= patched
+    assert not _changed(before, _namespaces())
+
+
+def test_traced_chain_agrees_with_its_reports():
+    # The tracer counts integrand calls inside every wrapped engine, step
+    # and chain call, and checks them against the evaluations each report
+    # gives.  The grid is the one test_full_chain_matches_reference uses.
+    grid = [0.25, 0.5, 1.0, 2.0, 4.0, 0.005, -3.7, 0.0, 20.0]
+    untraced = malmsten.run_full_chain(grid)
+    before = _namespaces()
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install(malmsten)
+        traced = malmsten.run_full_chain(grid)
+    finally:
+        tracer.restore()
+    assert tracer.mismatches == []
+    assert tracer.evals > 0
+    assert repr(traced) == repr(untraced)
     assert not _changed(before, _namespaces())

@@ -25,7 +25,8 @@ the whole range of |a| they accept, with working digits that grow with
 the cancellation in their references, and so are both sides of the
 alternating-series step over the mu it accepts and the t-domain form of
 delta(a) - ln a, in the scale its step integrates it in; that form's
-integrand is also checked point by point wherever its value is normal.
+integrand is also checked point by point wherever its value is normal,
+and so is the z-domain form's.
 The digamma combination is also swept densely over (0, 2.5], where its
 kernel is a fitted polynomial, and the p_integral step is checked at a
 whose nodes straddle the kernel's edges.  ln_gamma is swept over the x
@@ -131,23 +132,26 @@ def _cases():
 
 
 def _scaled_chain_cases(rng):
-    """The chain's integrands in the scale its checks integrate them in:
-    delta_quadrature in y = pi x and c_quadrature at b = 1, and the
-    sech-cosine transform over the t the step keeps at its default tol."""
+    """The chain's integrands in the scale its checks integrate them in,
+    each as its (f, weight) pair: delta_quadrature in y = pi x and
+    c_quadrature at b = 1 over sech, and the sech-cosine transform over
+    sech(pi x) for the t the step keeps at its default tol."""
     cases = []
     for k, a in enumerate([0.0] + _log_uniform(rng, 24, 1e-3, 1e12)):
         a = a if k % 2 else -a
         f = proofchain._delta_scaled_integrand(a)
         cases.append((f"delta scaled a={a!r}",
-                      lambda tol, f=f: integrate_semi_infinite(f, tol), _delta(a)))
+                      lambda tol, f=f: integrate_semi_infinite(f, tol, proofchain._sech),
+                      _delta(a)))
     for a in _log_uniform(rng, 32, 1e-300, 1e300):
-        f = proofchain.malmsten_c_integrand(MalmstenParams(a, 1.0))
+        f = proofchain._log_integrand(a)
         cases.append((f"c b=1 a={a!r}",
-                      lambda tol, f=f: integrate_semi_infinite(f, tol), _malmsten_c(a, 1)))
+                      lambda tol, f=f: integrate_semi_infinite(f, tol, proofchain._sech),
+                      _malmsten_c(a, 1)))
     for t in [0.0] + _log_uniform(rng, 24, 1e-2, 35.0):
         f = proofchain._sech_cosine_integrand(t)
         cases.append((f"sech_cosine t={t!r}",
-                      lambda tol, f=f: integrate_semi_infinite(f, tol),
+                      lambda tol, f=f: integrate_semi_infinite(f, tol, proofchain._sech_pi),
                       mpmath.sech(mpmath.mpf(t) / 2) / 2))
     return cases
 
@@ -419,17 +423,18 @@ def test_p_integral_across_the_quartet_kernel_edges(a, evaluations):
 
 
 def test_t_domain_integrand_pointwise():
-    # The integrand forms 1 - sech(t/2) as (1-z)^2/(1+z^2) with 1 - z
-    # from expm1; so does the reference, where the sech form would cancel
-    # even at 40 digits once t = y/|a| is tiny.  The worst of 15,774
-    # normal values over 4,001 y per a read 2.5 eps.
+    # The step integrates f = (1 - sech(t/2)) / y over the weight e^{-y}.
+    # f forms 1 - sech(t/2) as (1-z)^2/(1+z^2) with 1 - z from expm1; so
+    # does the reference, where the sech form would cancel even at 40
+    # digits once t = y/|a| is tiny.  The worst of 2,369 normal values
+    # over 601 y per a read 2.5 eps.
     bad = []
     for a in (2e-3, 1.0, 1e3, 1e12):
         f = proofchain._t_domain_integrand(a)
         for y in _log_spaced(601, 1e-300, 700.0):
             with mpmath.workdps(40):
                 m = mpmath.expm1(-mpmath.mpf(y) / (2 * a))
-                ref = mpmath.exp(-y) * m * m / ((1 + (1 + m) ** 2) * y)
+                ref = m * m / ((1 + (1 + m) ** 2) * y)
                 if ref < sys.float_info.min:
                     continue
                 err = float(abs(mpmath.mpf(f(y)) / ref - 1))
@@ -438,12 +443,33 @@ def test_t_domain_integrand_pointwise():
     assert not bad, bad[:5]
 
 
+def test_z_domain_integrand_pointwise():
+    # The integrand takes 1 - z from expm1 and z as 1 - (1 - z), which is
+    # coarse only where z << 1 and 1 + z^2 rounds to 1.  The u sweep runs
+    # log-spaced from 1e-300 to 1/2 and within 1e-16 to 1/2 below 1; the
+    # worst of its 3,600 values read 2.6 eps, as with z from exp.
+    us = _log_spaced(450, 1e-300, 0.5) + [1.0 - d for d in _log_spaced(150, 1e-16, 0.5)]
+    bad = []
+    for a in (1.001e-3, 0.02, 0.5, 7.0, 1e3, 1e12):
+        f = proofchain._z_domain_integrand(a)
+        for u in us:
+            with mpmath.workdps(40):
+                lnu = mpmath.log(u)
+                omz = -mpmath.expm1(lnu / (2 * mpmath.mpf(a)))
+                ref = -omz * omz / ((1 + (1 - omz) ** 2) * lnu)
+                err = float(abs(mpmath.mpf(f(u)) / ref - 1))
+            if not err <= 3 * sys.float_info.epsilon:
+                bad.append((a, u, err))
+    assert not bad, bad[:5]
+
+
 @pytest.mark.parametrize("a", [2e-3, 1.0, 1e3, 1e6, 1e12])
 def test_t_domain_in_its_natural_scale(a):
     # In y = |a| t the mass sits near y = 1 for every a, so the cost must
     # not grow with a as it does in t, where the mass sits near 1/|a|.
     res = integrate_semi_infinite(proofchain._t_domain_integrand(a),
-                                  ToleranceSpec(rel_tol=1e-12, abs_tol=1e-300))
+                                  ToleranceSpec(rel_tol=1e-12, abs_tol=1e-300),
+                                  proofchain._exp_neg)
     with mpmath.workdps(_digits(a * a)):
         ref = _delta(a) - mpmath.log(a)
         err = float(abs((mpmath.mpf(res.value) - ref) / ref))

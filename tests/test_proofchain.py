@@ -67,9 +67,15 @@ def _assert_report_consistent(rep: IdentityReport):
 PIN_XS = [10.0 ** (k / 20.0) for k in range(-6000, 61)]
 
 
+def _pair(weight, f):
+    return lambda x: (weight(x), f(x))
+
+
 # (integrand as the package builds it, the same integrand written with
-# specfun.sech and the unhoisted constants) for each integrand whose sech
-# is written out inline.
+# specfun.sech and the unhoisted constants) for each public integrand, whose
+# sech is written out inline; and (its (weight, f) pair, the same written
+# out) for each of the chain's (0, inf) quadratures, whose sech weights must
+# keep specfun.sech's bits and whose f drops the weight.
 INLINED_INTEGRANDS = (
     [(f"delta a={a}", delta_integrand(a),
       lambda x, a=a: 2.0 * math.log(math.hypot(x, abs(a))) * sech(math.pi * x))
@@ -78,25 +84,30 @@ INLINED_INTEGRANDS = (
     + [(f"c a={a} b={b}", pc.malmsten_c_integrand(MalmstenParams(a, b)),
         lambda x, a=a, b=b: (math.log(a) + math.log(x)) * sech(b * x))
        for a, b in ((1.0, 1.0), (0.01, 1e-10), (1e5, 0.3), (2.0, 1e6))]
-    + [(f"arctan a={a}", pc._arctan_kernel_integrand(a),
-        lambda x, a=a: 4.0 / math.pi * x * math.atan(math.exp(-math.pi * x)) / (x * x + a * a))
+    + [(f"arctan a={a}", _pair(pc._arctan_weight, pc._arctan_kernel_integrand(a)),
+        lambda x, a=a: (4.0 / math.pi * x * math.atan(math.exp(-math.pi * x)),
+                        1.0 / (x * x + a * a)))
        for a in (1e-150, -0.25, 1.0, 7e3)]
-    + [(f"sech_cosine t={t}", pc._sech_cosine_integrand(t),
-        lambda x, t=t: math.cos(t * x) * sech(math.pi * x))
+    + [(f"sech_cosine t={t}", _pair(pc._sech_pi, pc._sech_cosine_integrand(t)),
+        lambda x, t=t: (sech(math.pi * x), math.cos(t * x)))
        for t in (0.0, 1.0, 37.5, 1e6)]
-    + [(f"delta scaled a={a}", pc._delta_scaled_integrand(a),
-        lambda y, a=a: 2.0 / math.pi * math.log(math.hypot(y / math.pi, abs(a))) * sech(y))
+    + [(f"delta scaled a={a}", _pair(pc._sech, pc._delta_scaled_integrand(a)),
+        lambda y, a=a: (sech(y), 2.0 / math.pi * math.log(math.hypot(y / math.pi, abs(a)))))
        for a in (0.0, -1e-200, 0.5, 1e150)]
-    + [(f"c b=1 a={a}", pc.malmsten_c_integrand(MalmstenParams(a, 1.0)),
-        lambda x, a=a: (math.log(a) + math.log(x)) * sech(x))
+    + [(f"c b=1 a={a}", _pair(pc._sech, pc._log_integrand(a)),
+        lambda x, a=a: (sech(x), math.log(a) + math.log(x)))
        for a in (1e-300, 0.01, 1.0, 1e300)]
 )
+
+
+def _bits(value):
+    return tuple(v.hex() for v in value) if isinstance(value, tuple) else value.hex()
 
 
 @pytest.mark.parametrize("label, inlined, reference", INLINED_INTEGRANDS,
                          ids=[case[0] for case in INLINED_INTEGRANDS])
 def test_inlined_sech_keeps_the_bits(label, inlined, reference):
-    bad = [x for x in PIN_XS if inlined(x).hex() != reference(x).hex()]
+    bad = [x for x in PIN_XS if _bits(inlined(x)) != _bits(reference(x))]
     assert not bad, bad[:5]
 
 
@@ -291,7 +302,7 @@ def test_b_reduction_reports_the_failing_sub_identity(monkeypatch):
 
     def skewed(f, *args):
         res = real(f, *args)
-        if f is sech:  # break the normalization int_0^inf sech = pi/2
+        if f is pc._one:  # break the normalization int_0^inf 1 * sech = pi/2
             res = res._replace(value=res.value + 1e-3)
             skewed_values.append(res.value)
         return res
@@ -314,7 +325,7 @@ def test_b_reduction_reports_non_convergence(monkeypatch):
     def stalled(f, *args):
         res = real(f, *args)
         evaluations.append(res.evaluations)
-        if f is sech:  # the normalization's quadrature gives up
+        if f is pc._one:  # the normalization's quadrature gives up
             res = res._replace(converged=False)
         return res
 
@@ -382,7 +393,7 @@ def test_non_convergence_is_reported_not_raised(monkeypatch):
     import malmsten.proofchain as pc
     from malmsten.quad import QuadratureResult
 
-    def fake(f, tol=None):
+    def fake(f, tol=None, weight=None):
         return QuadratureResult(value=0.123, error_estimate=1.0, evaluations=7, converged=False)
 
     monkeypatch.setattr(pc, "integrate_semi_infinite", fake)
@@ -513,18 +524,17 @@ _QUADRATURE_CHECKS = [
 
 
 def _wrap_quadrature(monkeypatch, wrap):
-    """Replace both engines in proofchain by wrap(real, f, bounds, tol), where
-    tol is the ToleranceSpec the check passed, DEFAULT_TOLERANCE if none.
-    Returns the list to which each call's result is appended."""
+    """Replace both engines in proofchain by wrap(real, f, args, tol), where
+    args are the arguments after f that the check passed and tol is the
+    ToleranceSpec among them, DEFAULT_TOLERANCE if none.  Returns the list
+    to which each call's result is appended."""
     results = []
     for name in ("integrate_semi_infinite", "integrate_finite"):
         real = getattr(pc, name)
 
         def wrapper(f, *args, real=real):
-            if args and isinstance(args[-1], ToleranceSpec):
-                res = wrap(real, f, args[:-1], args[-1])
-            else:
-                res = wrap(real, f, args, DEFAULT_TOLERANCE)
+            tol = next((a for a in args if isinstance(a, ToleranceSpec)), DEFAULT_TOLERANCE)
+            res = wrap(real, f, args, tol)
             results.append(res)
             return res
 
@@ -539,9 +549,9 @@ def _wrap_quadrature(monkeypatch, wrap):
 def test_quadrature_tolerance_follows_the_check(monkeypatch, tol, rel_tol, abs_tol):
     seen = []
 
-    def spy(real, f, bounds, qtol):
+    def spy(real, f, args, qtol):
         seen.append(qtol)
-        return real(f, *bounds, qtol)
+        return real(f, *args)
 
     _wrap_quadrature(monkeypatch, spy)
     for check, args in _QUADRATURE_CHECKS:
@@ -554,7 +564,7 @@ def test_quadrature_tolerance_follows_the_check(monkeypatch, tol, rel_tol, abs_t
 def test_each_check_reports_its_engines_value(monkeypatch):
     # Every quadrature integrates the lhs its check reports, so the
     # tolerance rule applies to that lhs and not to a multiple of it.
-    results = _wrap_quadrature(monkeypatch, lambda real, f, bounds, qtol: real(f, *bounds, qtol))
+    results = _wrap_quadrature(monkeypatch, lambda real, f, args, qtol: real(f, *args))
     for check, args in _QUADRATURE_CHECKS:
         if check is check_b_reduction:  # three sub-identities, two quadratures
             continue
@@ -566,7 +576,8 @@ def test_each_check_reports_its_engines_value(monkeypatch):
 
 def test_tightest_tol_runs_the_default_quadrature(monkeypatch):
     derived = repr(run_full_chain(WIDE_GRID, tol=1e-14))
-    _wrap_quadrature(monkeypatch, lambda real, f, bounds, qtol: real(f, *bounds, DEFAULT_TOLERANCE))
+    _wrap_quadrature(monkeypatch, lambda real, f, args, qtol: real(
+        f, *(DEFAULT_TOLERANCE if a is qtol else a for a in args)))
     assert derived == repr(run_full_chain(WIDE_GRID, tol=1e-14))
 
 

@@ -15,18 +15,22 @@ what the engine does with them:
               last level.  Each level's sum|w*f| is formed as its sum of
               w*f minus twice the sum of its negative terms.
 
-The engine sums the same products in the same order from cached
-tables (tanh-sinh's built per interval), so results must agree bit for
-bit: compared by repr, value, estimate, evaluation count and verdict,
-on seeded integrands, on the benchmark's own quad ops and on the
-identity chain.  The one intended difference is a call that evaluates
-f nowhere, which the engine reports as converged=False with an infinite
-estimate.
+With a weight, the reference forms w * weight(x) at each node and
+multiplies that by f(x).  The engine sums the same products in the same
+order from cached tables (tanh-sinh's built per interval, the weighted
+ones per weight and level), so results must agree bit for bit: compared
+by repr, value, estimate, evaluation count and verdict, on seeded
+integrands with and without the chain's weights, on the benchmark's own
+quad ops and on the identity chain.  The one intended difference is a
+call that evaluates f nowhere, which the engine reports as
+converged=False with an infinite estimate.
 
 The remaining tests pin the tables' size under the 12-level cap, the
 bound on the per-interval tanh-sinh tables and their use by the chain,
-that each transform fills only its own table cache, and the tables'
-safety when threads build a cold level at once.
+the bound on the weighted tables and the abscissa lists they share,
+that evaluations count f and not the weight, that each transform fills
+only its own table cache, and the tables' safety when threads build a
+cold level at once.
 """
 
 import functools
@@ -171,8 +175,11 @@ def _phi(s):
     return s - math.exp(-s) + tail, 1.0 + math.exp(-s) + tail
 
 
-def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE, trim=True, depth=_MAX_LEVEL):
+def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE, weight=None, trim=True, depth=_MAX_LEVEL):
     count = [0]
+
+    def weighted(w, x):
+        return w if weight is None else w * weight(x)
 
     def new_nodes(h, first, limits):
         partial = 0.0
@@ -189,7 +196,7 @@ def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE, trim=True, depth=_MAX_LEVE
             if k == 0:
                 arg, slope = _phi(0.0)
                 x = math.exp(arg)
-                term = x * slope * _call(f, x, count)
+                term = weighted(x * slope, x) * _call(f, x, count)
                 partial += term
                 negative += min(term, 0.0)
             else:
@@ -199,7 +206,7 @@ def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE, trim=True, depth=_MAX_LEVE
                         up_alive = False
                     elif t < limits[0]:
                         x = math.exp(arg)
-                        term = x * slope * _call(f, x, count)
+                        term = weighted(x * slope, x) * _call(f, x, count)
                         partial += term
                         negative += min(term, 0.0)
                         sides[0].append(term)
@@ -210,7 +217,7 @@ def reference_semi_infinite(f, tol=DEFAULT_TOLERANCE, trim=True, depth=_MAX_LEVE
                     if w < _WEIGHT_FLOOR:
                         down_alive = False
                     elif t < limits[1]:
-                        term = w * _call(f, x, count)
+                        term = weighted(w, x) * _call(f, x, count)
                         partial += term
                         negative += min(term, 0.0)
                         sides[1].append(term)
@@ -291,15 +298,26 @@ def test_finite_matches_reference(monkeypatch):
             assert repr(got) == repr(_expected(ref)), (lo, hi, tol, depth)
 
 
+# The chain's weights: each depends on the node alone, and sech(x) and
+# e^{-y} underflow to 0 far out on the up side.
+WEIGHTS = (proofchain._sech, proofchain._sech_pi, proofchain._exp_neg, proofchain._arctan_weight)
+
+
 def test_semi_infinite_matches_reference(monkeypatch):
+    # Every 4th draw also integrates each integrand over one of the
+    # chain's weights, in turn, where the reference forms w * weight(x)
+    # at each node and multiplies that by f(x).
     rng = random.Random(20240602)
-    for _ in range(120):
+    for k in range(120):
         c = 10.0 ** rng.uniform(-2.0, 2.0)
         tol, depth = _tolerance(rng)
         monkeypatch.setattr(quad, "_MAX_LEVEL", depth)
+        weights = (None,) if k % 4 else (None, WEIGHTS[k // 4 % len(WEIGHTS)])
         for f in _semi_integrands(c):
-            got = integrate_semi_infinite(f, tol)
-            assert repr(got) == repr(reference_semi_infinite(f, tol, depth=depth)), (c, tol, depth)
+            for weight in weights:
+                got = integrate_semi_infinite(f, tol, weight)
+                ref = reference_semi_infinite(f, tol, weight, depth=depth)
+                assert repr(got) == repr(ref), (c, tol, depth, weight)
 
 
 def test_tiny_span_matches_reference_or_reports_no_evaluation(monkeypatch):
@@ -343,6 +361,59 @@ def test_nan_below_cut_message_matches_reference(cut):
         with pytest.raises(QuadratureError) as got:
             engine(f, *args)
         assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("cut", [1e-3, 0.3, 40.0, 800.0])
+@pytest.mark.parametrize("weight", WEIGHTS, ids=lambda w: w.__name__)
+def test_nan_from_f_over_a_weight_raises_at_its_node(weight, cut):
+    # A weight folded into the tables leaves the NaN test to f: the call
+    # raises at the node where f first returns NaN, also past x = 745,
+    # where sech and e^{-y} have underflowed to 0 and 0 * NaN is NaN.
+    def f(x):
+        return float("nan") if x > cut else math.exp(-x)
+
+    with pytest.raises(QuadratureError) as expected:
+        reference_semi_infinite(f, DEFAULT_TOLERANCE, weight)
+    with pytest.raises(QuadratureError) as got:
+        integrate_semi_infinite(f, DEFAULT_TOLERANCE, weight)
+    assert str(got.value) == str(expected.value)
+
+
+def test_evaluations_count_f_alone():
+    # The weight, a new object, is called once per node of each table
+    # built, and never again; evaluations count the calls of f.
+    calls = {"f": 0, "weight": 0}
+
+    def weight(x):
+        calls["weight"] += 1
+        return math.exp(-x)
+
+    def f(x):
+        calls["f"] += 1
+        return 1.0 / (1.0 + x)
+
+    first = integrate_semi_infinite(f, DEFAULT_TOLERANCE, weight)
+    built = calls["weight"]
+    assert first.converged and first.evaluations == calls["f"] < built
+    calls["f"] = 0
+    again = integrate_semi_infinite(f, DEFAULT_TOLERANCE, weight)
+    assert repr(again) == repr(first)
+    assert again.evaluations == calls["f"] and calls["weight"] == built
+
+
+def test_weight_tables_are_bounded_and_share_the_abscissae(cold_tables):
+    # The cache holds every level of four weights.
+    info = quad._weight_tables.cache_info()
+    assert info.maxsize == 4 * (_MAX_LEVEL + 1)
+    for level in range(_MAX_LEVEL + 1):
+        center, sides = quad._semi_infinite_tables(level)
+        w_center, w_sides = quad._weight_tables(proofchain._sech, level)
+        assert (center is None) == (w_center is None)
+        if center is not None:
+            assert w_center == (center[0], center[1] * proofchain._sech(center[0]))
+        for (xs, ws), (w_xs, w_ws) in zip(sides, w_sides):
+            assert w_xs is xs
+            assert w_ws == [w * proofchain._sech(x) for x, w in zip(xs, ws)]
 
 
 def test_level0_up_side_goes_on_alone():
@@ -584,18 +655,21 @@ def test_interval_tables_stay_bounded_and_serve_the_chain(cold_tables):
     assert info.hits > 0 and info.misses <= 13
 
 
-@pytest.mark.parametrize("integrate, own_cache", [
-    (lambda: integrate_semi_infinite(lambda x: math.exp(-x)), "_semi_infinite_tables"),
-    (lambda: integrate_finite(lambda x: math.exp(-x), 0.0, 1.0), "_tanh_sinh_tables"),
-], ids=["semi_infinite", "finite"])
-def test_each_transform_fills_only_its_own_cache(integrate, own_cache):
+@pytest.mark.parametrize("integrate, own_caches", [
+    (lambda: integrate_semi_infinite(lambda x: math.exp(-x)), {"_semi_infinite_tables"}),
+    (lambda: integrate_finite(lambda x: math.exp(-x), 0.0, 1.0), {"_tanh_sinh_tables"}),
+    (lambda: integrate_semi_infinite(lambda x: 1.0, DEFAULT_TOLERANCE, proofchain._sech),
+     {"_semi_infinite_tables", "_weight_tables"}),
+], ids=["semi_infinite", "finite", "weighted"])
+def test_each_transform_fills_only_its_own_cache(integrate, own_caches):
     # A process that integrates on one kind of interval builds no node
-    # of the other transform.
+    # of the other transform, and one that passes no weight builds no
+    # weighted table.
     caches = _table_caches()
-    assert own_cache in caches
+    assert own_caches <= caches.keys()
     _clear_tables()
     integrate()
-    assert {name for name, cache in caches.items() if cache.cache_info().currsize} == {own_cache}
+    assert {name for name, cache in caches.items() if cache.cache_info().currsize} == own_caches
 
 
 def test_cold_tables_built_by_racing_threads(cold_tables):
